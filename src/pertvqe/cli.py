@@ -97,6 +97,9 @@ class RunConfig:
             raise ConfigError(f"unknown hierarchy mode {cfg.mode!r}")
         if cfg.ordering not in ORDERINGS:
             raise ConfigError(f"unknown ordering {cfg.ordering!r}")
+        for pair in cfg.hierarchies:
+            if len(pair) != 2 or pair[0] not in MODES or pair[1] not in ORDERINGS:
+                raise ConfigError(f"unknown sweep hierarchy {pair!r}")
         return cfg
 
 
@@ -163,26 +166,41 @@ def cmd_diagrams(cfg: RunConfig) -> int:
 
 
 def _sweep_task(args):
-    cfg_raw, mode, ordering, j_value = args
-    cfg = RunConfig.from_dict(cfg_raw)
-    plist = build_priority_list(
-        cfg.model, build_qca(cfg.model.n_qubits), cfg.k_max, mode, ordering,
-        cfg.tie_seed,
-    )
+    cfg, plist, j_value = args
     base = cfg.model.strengths[0] if cfg.model.couplings else 1.0
     target = cfg.model.rescaled(j_value / base) if base else cfg.model
     result = hierarchy_sweep(
         target, plist, cfg.n_p_max, cfg.gtol, cfg.max_iterations,
         rng=np.random.default_rng(cfg.tie_seed or 0),
     )
-    tag = mode + ("_parent" if ordering == "parent" else "")
+    tag = plist.mode + ("_parent" if plist.ordering == "parent" else "")
     stem = f"sweep_{tag}_j{j_value:g}"
     return stem, sweep_to_csv(result), sweep_thetas_json(result), result.reference_energy
 
 
-def cmd_sweep(cfg: RunConfig, raw: dict, jobs: int = 1) -> int:
+def _sweep_lists(cfg: RunConfig) -> dict:
+    """One priority list per (mode, ordering), each checked to hold
+    ``n_p_max`` units before any reference or optimization runs."""
+    qca = build_qca(cfg.model.n_qubits)
+    plists = {}
+    for mode, ordering in cfg.hierarchies:
+        if (mode, ordering) in plists:
+            continue
+        plist = build_priority_list(
+            cfg.model, qca, cfg.k_max, mode, ordering, cfg.tie_seed
+        )
+        try:
+            plist.selection(cfg.n_p_max)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.n_p_max: {exc}") from exc
+        plists[mode, ordering] = plist
+    return plists
+
+
+def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
+    plists = _sweep_lists(cfg)
     tasks = [
-        (raw, mode, ordering, j)
+        (cfg, plists[mode, ordering], j)
         for j in cfg.j_values
         for mode, ordering in cfg.hierarchies
     ]
@@ -327,7 +345,7 @@ def main(argv=None) -> int:
         if args.command == "diagrams":
             return cmd_diagrams(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, raw, jobs=args.jobs)
+            return cmd_sweep(cfg, jobs=args.jobs)
         if args.command == "verify":
             return cmd_verify(cfg)
     except ConfigError as exc:

@@ -19,13 +19,29 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 _LABEL_RE = re.compile(r"^(?:i\^(?P<power>[123])\*)?(?P<ops>[IXYZ]+)$")
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+
+
+class PauliAction(NamedTuple):
+    """A Pauli string compiled for dense states: ``op|psi> = phased * psi[perm]``.
+
+    ``real`` is the real vector r with ``i^(p mod 2) op|psi> = r * psi[perm]``:
+    the action of op itself when its phase i^p is real, and of i*op when it is
+    imaginary (a Hermitian string with an odd Y count).
+    """
+
+    perm: np.ndarray
+    phased: np.ndarray
+    real: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,19 +159,25 @@ class PauliString:
         extra = 2 * (self.z_mask & bits).bit_count()
         return bits ^ self.x_mask, (self.phase_exp + extra) % 4
 
-    def to_matrix(self):
-        """Dense matrix (oracle-grade; exponential in qubit count)."""
-        import numpy as np
-
-        dim = 1 << self.n_qubits
-        cols = np.arange(dim)
-        rows = cols ^ self.x_mask
-        signs = np.ones(dim)
+    @cached_property
+    def action(self) -> PauliAction:
+        """The compiled action on 2**n amplitudes, built on first use and kept
+        with this string."""
+        perm = np.arange(1 << self.n_qubits) ^ self.x_mask
+        # Z acts first: the sign of amplitude perm[j] is (-1)^popcount(z & perm[j]).
+        flips = np.zeros(perm.size, dtype=perm.dtype)
         for q in range(self.n_qubits):
             if (self.z_mask >> q) & 1:
-                signs *= 1 - 2.0 * ((cols >> q) & 1)
-        m = np.zeros((dim, dim), dtype=complex)
-        m[rows, cols] = (1j ** self.phase_exp) * signs
+                flips ^= perm >> q
+        sign = 1.0 - 2.0 * (flips & 1)
+        p = self.phase_exp
+        return PauliAction(perm, (1j**p) * sign, (1j ** (p + p % 2)).real * sign)
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense matrix (oracle-grade; exponential in qubit count)."""
+        perm, phased, _ = self.action
+        m = np.zeros((perm.size, perm.size), dtype=complex)
+        m[np.arange(perm.size), perm] = phased
         return m
 
     # -- text --------------------------------------------------------------

@@ -12,6 +12,7 @@ phases live entirely in the Pauli bookkeeping of ``pertvqe.pauli``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +80,21 @@ class HamiltonianModel:
     @property
     def strengths(self) -> tuple[float, ...]:
         return tuple(c.strength for c in self.couplings)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The field term -sum_q h_q Z_q over all 2**n amplitude indices,
+        built on first use and kept with the model."""
+        idx = np.arange(1 << self.n_qubits)
+        diag = np.zeros(idx.size)
+        for q, h in enumerate(self.fields):
+            diag -= h * (1.0 - 2.0 * ((idx >> q) & 1))
+        return diag
+
+    @property
+    def is_real(self) -> bool:
+        """True when every coupling has an even Y count, so H is a real matrix."""
+        return all(c.operator.phase_exp % 2 == 0 for c in self.couplings)
 
     def rescaled(self, factor: float) -> "HamiltonianModel":
         return HamiltonianModel(
@@ -311,12 +327,13 @@ def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
     if model.n_qubits > DENSE_QUBIT_CAP:
         raise ValueError(f"dense construction capped at {DENSE_QUBIT_CAP} qubits")
     dim = 1 << model.n_qubits
+    rows = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
-    diag = np.array([unperturbed_energy(s, model.fields) for s in range(dim)])
-    h[np.arange(dim), np.arange(dim)] = diag
+    h[rows, rows] = model.diagonal
     for c in model.couplings:
         if c.strength != 0.0:
-            h += c.strength * c.operator.to_matrix()
+            perm, phased, _ = c.operator.action
+            h[rows, perm] += c.strength * phased
     return h
 
 

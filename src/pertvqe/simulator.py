@@ -1,9 +1,18 @@
 """Dense statevector engine: ansatz preparation, Pauli-term energies, and
 analytic gradients.
 
-States are 1-D complex arrays of length 2**n with qubit q on bit q of the
-amplitude index.  Rotations apply exp(i * scale * theta * T) exactly as
-cos(a)|psi> + i sin(a) T|psi>; no dense operator is ever materialized.
+States are 1-D arrays of length 2**n with qubit q on bit q of the amplitude
+index.  Every Pauli string acts through its compiled action
+``op|psi> = phased * psi[perm]`` (``PauliString.action``), and the field term
+through the model's shared diagonal.  Rotations apply exp(i * scale * theta * T)
+exactly as cos(a)|psi> + i sin(a) T|psi>; no dense operator is ever
+materialized.
+
+States are complex (``complex128``) except on the real path of
+``energy_and_gradient``: when every generator has an odd Y count and every
+coupling an even one, i*T and H are real matrices, so the state stays
+``float64`` from the real start state to the end.  ``apply_pauli`` and
+``energy`` keep a real state real when the operator they apply is real.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ansatz import ProductAnsatz
-from .pauli import PauliString
+from .pauli import PauliAction, PauliString
 from .perturbation import HamiltonianModel
 
 QUBIT_CAP = 14
@@ -29,26 +38,17 @@ def basis_state(n_qubits: int, bits: int) -> np.ndarray:
     return psi
 
 
-def _z_parity(z_mask: int, dim: int) -> np.ndarray:
-    """(-1)^(popcount(z & index)) over all amplitude indices."""
-    signs = np.ones(dim)
-    idx = np.arange(dim)
-    q = 0
-    while (z_mask >> q) != 0:
-        if (z_mask >> q) & 1:
-            signs *= 1.0 - 2.0 * ((idx >> q) & 1)
-        q += 1
-    return signs
+def _action(psi: np.ndarray, op: PauliString) -> PauliAction:
+    if psi.size != 1 << op.n_qubits:
+        raise ValueError("state dimension mismatch")
+    return op.action
 
 
 def apply_pauli(psi: np.ndarray, op: PauliString) -> np.ndarray:
-    dim = psi.size
-    if dim != 1 << op.n_qubits:
-        raise ValueError("state dimension mismatch")
-    out = np.empty_like(psi)
-    signs = (1j ** op.phase_exp) * _z_parity(op.z_mask, dim)
-    out[np.arange(dim) ^ op.x_mask] = signs * psi
-    return out
+    perm, phased, real = _action(psi, op)
+    if psi.dtype == np.float64 and op.phase_exp % 2 == 0:
+        return real * psi[perm]
+    return phased * psi[perm]
 
 
 def apply_rotation(
@@ -56,7 +56,8 @@ def apply_rotation(
 ) -> np.ndarray:
     """exp(i * scale * theta * generator) |psi>."""
     angle = scale * theta
-    return np.cos(angle) * psi + 1j * np.sin(angle) * apply_pauli(psi, generator)
+    perm, phased, _ = _action(psi, generator)
+    return np.cos(angle) * psi + 1j * np.sin(angle) * (phased * psi[perm])
 
 
 def prepare(ansatz: ProductAnsatz, thetas) -> np.ndarray:
@@ -77,44 +78,29 @@ def expectation(psi: np.ndarray, op: PauliString) -> float:
 
 
 def energy(psi: np.ndarray, model: HamiltonianModel) -> float:
-    """<psi|H|psi> accumulated term by term."""
-    dim = psi.size
-    if dim != 1 << model.n_qubits:
+    """<psi|H|psi> through the one Hamiltonian apply."""
+    if psi.size != 1 << model.n_qubits:
         raise ValueError("state dimension mismatch")
-    probs = np.abs(psi) ** 2
-    total = 0.0
-    idx = np.arange(dim)
-    for q, h in enumerate(model.fields):
-        if h != 0.0:
-            z_exp = float(np.sum(probs * (1.0 - 2.0 * ((idx >> q) & 1))))
-            total -= h * z_exp
-    for c in model.couplings:
-        if c.strength != 0.0:
-            total += c.strength * expectation(psi, c.operator)
-    return total
+    return float(np.vdot(psi, _apply_model(psi, model)).real)
 
 
 def gradient(ansatz: ProductAnsatz, thetas, model: HamiltonianModel) -> np.ndarray:
     """dE/dtheta via the shift rule, unit by unit.
 
-    A unit with unit scale satisfies
-    dE/d(angle) = E(angle + pi/4) - E(angle - pi/4) exactly; shared parameter
-    indices accumulate by the product rule.  Units with non-unit scale fall
-    back to central differences on that unit's angle.
+    A unit's rotation angle a = scale * theta satisfies
+    dE/da = E(a + pi/4) - E(a - pi/4) exactly, so
+    dE/dtheta = scale * (E(a + pi/4) - E(a - pi/4)); shared parameter
+    indices accumulate by the product rule.
     """
     thetas = np.asarray(thetas, dtype=float)
     grad = np.zeros(ansatz.num_params)
     for pos, unit in enumerate(ansatz.units):
-        if unit.scale == 1.0:
-            shift = np.pi / 4
-            e_plus = _energy_with_unit_shift(ansatz, thetas, model, pos, shift)
-            e_minus = _energy_with_unit_shift(ansatz, thetas, model, pos, -shift)
-            grad[unit.param_index] += e_plus - e_minus
-        else:
-            step = 1e-5
-            e_plus = _energy_with_unit_shift(ansatz, thetas, model, pos, step)
-            e_minus = _energy_with_unit_shift(ansatz, thetas, model, pos, -step)
-            grad[unit.param_index] += (e_plus - e_minus) / (2 * step)
+        if unit.scale == 0.0:
+            continue
+        shift = np.pi / (4 * unit.scale)
+        e_plus = _energy_with_unit_shift(ansatz, thetas, model, pos, shift)
+        e_minus = _energy_with_unit_shift(ansatz, thetas, model, pos, -shift)
+        grad[unit.param_index] += unit.scale * (e_plus - e_minus)
     return grad
 
 
@@ -127,12 +113,7 @@ def _energy_with_unit_shift(ansatz, thetas, model, pos, shift) -> float:
 
 
 def _apply_model(psi: np.ndarray, model: HamiltonianModel) -> np.ndarray:
-    dim = psi.size
-    idx = np.arange(dim)
-    diag = np.zeros(dim)
-    for q, h in enumerate(model.fields):
-        diag -= h * (1.0 - 2.0 * ((idx >> q) & 1))
-    out = diag * psi
+    out = model.diagonal * psi
     for c in model.couplings:
         if c.strength != 0.0:
             out = out + c.strength * apply_pauli(psi, c.operator)
@@ -142,15 +123,22 @@ def _apply_model(psi: np.ndarray, model: HamiltonianModel) -> np.ndarray:
 def energy_and_gradient(
     ansatz: ProductAnsatz, thetas, model: HamiltonianModel
 ) -> tuple[float, np.ndarray]:
-    """Energy plus the full gradient from one forward and one backward pass.
+    """Energy plus the full gradient from one forward and one backward pass
+    (the adjoint method of Jones & Gacon, arXiv:2009.02823).
 
     Matches ``gradient`` to machine precision while costing O(n_units)
     rotation applications instead of O(n_units^2); this is the path the
-    optimizer calls.
+    optimizer calls.  When every generator has an odd Y count and H is real,
+    the pass runs in real arithmetic (``_real_adjoint``); otherwise it runs
+    on complex states.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size != ansatz.num_params:
         raise ValueError("parameter vector length mismatch")
+    if model.n_qubits != ansatz.n_qubits:
+        raise ValueError("ansatz and model qubit counts differ")
+    if model.is_real and all(u.generator.phase_exp % 2 for u in ansatz.units):
+        return _real_adjoint(ansatz, thetas, model)
     states = [basis_state(ansatz.n_qubits, ansatz.start_state)]
     for unit in ansatz.units:
         states.append(
@@ -166,6 +154,37 @@ def energy_and_gradient(
         overlap = np.vdot(lam, apply_pauli(states[i + 1], unit.generator))
         grad[unit.param_index] += -2.0 * unit.scale * overlap.imag
         lam = apply_rotation(lam, unit.generator, -thetas[unit.param_index], unit.scale)
+    return value, grad
+
+
+def _real_adjoint(
+    ansatz: ProductAnsatz, thetas: np.ndarray, model: HamiltonianModel
+) -> tuple[float, np.ndarray]:
+    """The adjoint pass on float64 states, for odd-Y generators and a real H.
+
+    Each unit is exp(a R) with R = i*T real and antisymmetric, so
+    psi_(i+1) = cos(a) psi_i + sin(a) R psi_i, the gradient term
+    2 * scale * <lam|R|psi_(i+1)> equals -2 * scale * <R lam|psi_(i+1)>, and
+    the same R lam un-rotates lam.
+    """
+    units = ansatz.units
+    angles = np.array([u.scale * thetas[u.param_index] for u in units])
+    cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
+    psi = basis_state(ansatz.n_qubits, ansatz.start_state).real
+    states = [psi]
+    for unit, c, s in zip(units, cos, sin):
+        perm, _, r = unit.generator.action
+        psi = c * psi + s * (r * psi[perm])
+        states.append(psi)
+    lam = _apply_model(psi, model)
+    value = float(np.dot(psi, lam))
+    grad = np.zeros(ansatz.num_params)
+    for i in range(len(units) - 1, -1, -1):
+        unit = units[i]
+        perm, _, r = unit.generator.action
+        r_lam = r * lam[perm]
+        grad[unit.param_index] -= 2.0 * unit.scale * np.dot(r_lam, states[i + 1])
+        lam = cos[i] * lam - sin[i] * r_lam
     return value, grad
 
 

@@ -92,6 +92,8 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
     reference_energy: float
+    # "complete", or the unit count the sweep stopped at and why
+    stop_reason: str = "complete"
 
 
 def hierarchy_sweep(
@@ -112,7 +114,7 @@ def hierarchy_sweep(
     start still guarantees the error never increases with the unit count.
     Row 0 is the bare start state; the relative error is measured against
     dense diagonalization.  Optimizer failures abort the sweep but keep the
-    rows already produced.
+    rows already produced; ``stop_reason`` then names the step and the cause.
     """
     e_ref, _ = exact_ground(model)
     if rng is None:
@@ -125,6 +127,7 @@ def hierarchy_sweep(
     e_bare = energy(basis_state(model.n_qubits, 0), model)
     rows = [SweepRow(0, e_bare, eps(e_bare), (), 0)]
     theta = np.zeros(0)
+    stop_reason = "complete"
     for n in range(1, n_p_max + 1):
         ansatz = plist.build_ansatz(n)
         try:
@@ -137,14 +140,15 @@ def hierarchy_sweep(
                 )
                 if trial.energy < best.energy:
                     best = trial
-        except FloatingPointError:
+        except FloatingPointError as exc:
+            stop_reason = f"stopped at {n} units: {exc}"
             break
         theta = best.theta
         rows.append(
             SweepRow(n, best.energy, eps(best.energy), tuple(theta),
                      best.iterations)
         )
-    return SweepResult(tuple(rows), e_ref)
+    return SweepResult(tuple(rows), e_ref, stop_reason)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -159,6 +163,7 @@ def sweep_to_csv(result: SweepResult) -> str:
 def sweep_thetas_json(result: SweepResult) -> str:
     payload = {
         "reference_energy": result.reference_energy,
+        "stop_reason": result.stop_reason,
         "theta_star": {str(row.n_params): list(row.theta) for row in result.rows},
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -205,3 +205,28 @@ def test_console_entry_point_usage_error():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_sweep_list_too_short_fails_before_any_optimization(tmp_path, monkeypatch, capsys):
+    import pertvqe.vqe
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no sweep work may start")
+
+    monkeypatch.setattr(pertvqe.vqe, "optimize", forbidden)
+    monkeypatch.setattr(pertvqe.vqe, "exact_ground", forbidden)
+    # the looping loc list could run; the 7-unit pert list cannot
+    cfg = write_config(
+        tmp_path,
+        sweep={"n_p_max": 10, "j_values": [0.15],
+               "hierarchies": [["loc", "hierarchy"], ["pert", "parent"]]},
+    )
+    assert main(["--config", str(cfg), "sweep"]) == 2
+    assert "pert list holds 7 units, 10 requested" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_sweep_hierarchy_is_usage_error(tmp_path):
+    cfg = write_config(tmp_path, sweep={"hierarchies": [["pert", "sideways"]]})
+    assert main(["--config", str(cfg), "sweep"]) == 2
+    assert not (tmp_path / "out").exists()

@@ -1,0 +1,194 @@
+"""Property tests of the compiled Pauli action and of the real and complex
+paths of the adjoint gradient, against independent dense oracles."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pertvqe import simulator
+from pertvqe.ansatz import AnsatzUnit, ProductAnsatz
+from pertvqe.pauli import PauliString
+from pertvqe.perturbation import Coupling, HamiltonianModel
+from pertvqe.simulator import (
+    apply_pauli,
+    energy,
+    energy_and_gradient,
+    gradient,
+    prepare,
+)
+
+PROPERTY = settings(deadline=None, max_examples=40)
+
+# X^x Z^z on one qubit, Z acting first
+_FACTORS = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.diag([1, -1]).astype(complex),
+    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),
+}
+
+
+def kron_matrix(op: PauliString) -> np.ndarray:
+    """i^p prod_q X_q^x Z_q^z from Kronecker products, qubit q on bit q."""
+    m = np.ones((1, 1), dtype=complex)
+    for q in range(op.n_qubits):
+        m = np.kron(_FACTORS[(op.x_mask >> q) & 1, (op.z_mask >> q) & 1], m)
+    return (1j**op.phase_exp) * m
+
+
+def scatter_apply(psi: np.ndarray, op: PauliString) -> np.ndarray:
+    """The scatter formula the compiled action replaced: out[i ^ x] = s_i psi_i."""
+    idx = np.arange(psi.size)
+    parity = np.ones(psi.size)
+    for q in range(op.n_qubits):
+        if (op.z_mask >> q) & 1:
+            parity *= 1.0 - 2.0 * ((idx >> q) & 1)
+    out = np.empty_like(psi)
+    out[idx ^ op.x_mask] = ((1j**op.phase_exp) * parity) * psi
+    return out
+
+
+@st.composite
+def paulis(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    return PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
+
+
+def labels(n, odd_y):
+    """Strategy for positive Hermitian strings on n qubits whose Y count is
+    odd (``odd_y``) or even and nonzero."""
+
+    @st.composite
+    def build(draw):
+        chars = draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+        if (chars.count("Y") % 2 == 1) != odd_y:
+            pos = draw(st.integers(0, n - 1))
+            chars[pos] = "X" if chars[pos] == "Y" else "Y"
+        if set(chars) == {"I"}:
+            chars[draw(st.integers(0, n - 1))] = "X" if not odd_y else "Y"
+        return PauliString.from_label("".join(chars))
+
+    return build()
+
+
+@st.composite
+def real_cases(draw):
+    """An odd-Y ansatz with shared parameters and non-unit scales, a model
+    with even-Y couplings, and a parameter vector."""
+    n = draw(st.integers(1, 5))
+    n_units = draw(st.integers(1, 8))
+    n_params = draw(st.integers(1, n_units))
+    scales = st.sampled_from([1.0, -1.0, 0.5, -0.75, 1.5, 2.0])
+    units = tuple(
+        AnsatzUnit(draw(labels(n, odd_y=True)), draw(st.integers(0, n_params - 1)),
+                   draw(scales))
+        for _ in range(n_units)
+    )
+    start = draw(st.integers(0, (1 << n) - 1))
+    ansatz = ProductAnsatz(n, units, start, n_params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    couplings = tuple(
+        Coupling(float(rng.uniform(-1, 1)), draw(labels(n, odd_y=False)))
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    model = HamiltonianModel(tuple(rng.uniform(0.5, 1.5, n)), couplings)
+    return ansatz, model, rng.uniform(-np.pi, np.pi, n_params)
+
+
+def energy_gradient_and_path(ansatz, theta, model):
+    """energy_and_gradient plus whether it took the real-arithmetic path."""
+    real_adjoint = simulator._real_adjoint
+    with mock.patch.object(simulator, "_real_adjoint", wraps=real_adjoint) as spy:
+        value, grad = energy_and_gradient(ansatz, theta, model)
+    return value, grad, spy.called
+
+
+def assert_matches_oracles(ansatz, theta, model, value, grad):
+    assert abs(value - energy(prepare(ansatz, theta), model)) <= 1e-12
+    assert np.max(np.abs(grad - gradient(ansatz, theta, model))) <= 1e-12
+
+
+# -- compiled action ----------------------------------------------------------
+
+
+def test_to_matrix_matches_kronecker_products_for_every_string():
+    for n in range(1, 6):
+        for x in range(1 << n):
+            for z in range(1 << n):
+                for p in range(4):
+                    op = PauliString(n, x, z, p)
+                    assert np.array_equal(op.to_matrix(), kron_matrix(op))
+
+
+@PROPERTY
+@given(paulis(), st.integers(0, 2**32 - 1), st.booleans())
+def test_compiled_action_matches_dense_matrix(op, seed, real):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(1 << op.n_qubits)
+    if not real:
+        psi = psi + 1j * rng.standard_normal(psi.size)
+    out = apply_pauli(psi, op)
+    assert np.allclose(out, op.to_matrix() @ psi, rtol=0, atol=1e-15)
+    # a real state stays real exactly when the string's phase is real
+    assert (out.dtype == np.float64) == (real and op.phase_exp % 2 == 0)
+
+
+@PROPERTY
+@given(paulis(), st.integers(0, 2**32 - 1))
+def test_compiled_action_is_bit_identical_to_scatter(op, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << op.n_qubits
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    assert np.array_equal(apply_pauli(psi, op), scatter_apply(psi, op))
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(paulis(n), paulis(n), paulis(n))))
+def test_pauli_products_associate_with_matrix_phases(ops):
+    a, b, c = ops
+    assert (a * b) * c == a * (b * c)
+    assert np.array_equal((a * b).to_matrix(), a.to_matrix() @ b.to_matrix())
+    dense = kron_matrix(a) @ kron_matrix(b) @ kron_matrix(c)
+    assert np.array_equal(((a * b) * c).to_matrix(), dense)
+
+
+# -- real and complex adjoint paths -------------------------------------------
+
+
+@PROPERTY
+@given(real_cases())
+def test_real_path_matches_complex_path_and_shift_rule(case):
+    ansatz, model, theta = case
+    value, grad, real = energy_gradient_and_path(ansatz, theta, model)
+    assert real
+    assert_matches_oracles(ansatz, theta, model, value, grad)
+    # A zero-strength odd-Y coupling leaves H as it is but forces the complex path.
+    odd = PauliString.from_label("Y" + "I" * (ansatz.n_qubits - 1))
+    forced = HamiltonianModel(model.fields, model.couplings + (Coupling(0.0, odd),))
+    c_value, c_grad, real = energy_gradient_and_path(ansatz, theta, forced)
+    assert not real
+    assert abs(value - c_value) <= 1e-12
+    assert np.max(np.abs(grad - c_grad)) <= 1e-12
+
+
+@PROPERTY
+@given(real_cases(), st.booleans(), st.data())
+def test_mixed_ansatz_takes_complex_path_and_matches(case, even_generator, data):
+    ansatz, model, theta = case
+    n = ansatz.n_qubits
+    if even_generator:
+        unit = AnsatzUnit(data.draw(labels(n, odd_y=False)),
+                          data.draw(st.integers(0, ansatz.num_params - 1)))
+        pos = data.draw(st.integers(0, ansatz.n_units))
+        units = ansatz.units[:pos] + (unit,) + ansatz.units[pos:]
+        ansatz = ProductAnsatz(n, units, ansatz.start_state, ansatz.num_params)
+    else:
+        coupling = Coupling(data.draw(st.sampled_from([0.3, -0.8])),
+                            data.draw(labels(n, odd_y=True)))
+        model = HamiltonianModel(model.fields, model.couplings + (coupling,))
+    value, grad, real = energy_gradient_and_path(ansatz, theta, model)
+    assert not real
+    assert_matches_oracles(ansatz, theta, model, value, grad)

@@ -6,6 +6,7 @@ from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from pertvqe.hierarchy import build_priority_list
 from pertvqe.pauli import PauliString
 from pertvqe.perturbation import (
+    Coupling,
     HamiltonianModel,
     dense_hamiltonian,
     exact_ground,
@@ -202,6 +203,20 @@ def test_adjoint_gradient_agrees_with_shift_rule(rng):
     value, grad_fast = energy_and_gradient(a, theta, model)
     assert value == pytest.approx(energy(prepare(a, theta), model), abs=1e-12)
     assert np.allclose(grad_fast, gradient(a, theta, model), atol=1e-10)
+
+
+def test_energy_and_adjoint_value_share_one_hamiltonian_apply(rng):
+    # an XY chain is complex, so both run on the complex path and agree exactly
+    n = 4
+    couplings = tuple(
+        Coupling(0.4, PauliString.from_ops(n, {i: "X", i + 1: "Y"}))
+        for i in range(n - 1)
+    )
+    model = HamiltonianModel((1.0, 0.9, 1.1, 1.2), couplings)
+    a = build_qca(n)
+    theta = rng.uniform(-1, 1, a.num_params)
+    value, _ = energy_and_gradient(a, theta, model)
+    assert value == energy(prepare(a, theta), model)
 
 
 def test_gradient_vanishes_at_optimum():

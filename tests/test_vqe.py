@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+import pertvqe.vqe
 
 from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from pertvqe.hierarchy import build_priority_list
@@ -121,3 +125,22 @@ def test_sweep_csv_and_theta_export():
     payload = json.loads(sweep_thetas_json(result))
     assert payload["reference_energy"] == pytest.approx(result.reference_energy)
     assert len(payload["theta_star"]["2"]) == 2
+
+
+def test_sweep_records_why_it_stopped(monkeypatch):
+    model = tfim_chain(4, 1.0, 0.2)
+    plist = build_priority_list(model, build_qca(4), 4)
+    assert hierarchy_sweep(model, plist, 2).stop_reason == "complete"
+
+    evaluate = pertvqe.vqe.energy_and_gradient
+
+    def nan_at_three_units(ansatz, theta, model):
+        value, grad = evaluate(ansatz, theta, model)
+        return (np.nan if ansatz.num_params == 3 else value), grad
+
+    monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", nan_at_three_units)
+    result = hierarchy_sweep(model, plist, 5)
+    assert [row.n_params for row in result.rows] == [0, 1, 2]
+    assert result.stop_reason == "stopped at 3 units: non-finite variational energy"
+    assert json.loads(sweep_thetas_json(result))["stop_reason"] == result.stop_reason
+    assert sweep_to_csv(result).splitlines()[0] == "n_params,energy,epsilon,iterations"
