@@ -27,6 +27,7 @@ from .hierarchy import (
 )
 from .pauli import PauliString
 from .perturbation import (
+    DENSE_QUBIT_CAP,
     Coupling,
     DegeneracyError,
     HamiltonianModel,
@@ -93,6 +94,8 @@ class RunConfig:
             hierarchies=list(sweep.get("hierarchies", DEFAULT_HIERARCHIES)),
             out=raw.get("out", "."),
         )
+        if cfg.k_max < 1:
+            raise ConfigError(f"k_max must be at least 1, got {cfg.k_max}")
         if cfg.mode not in MODES:
             raise ConfigError(f"unknown hierarchy mode {cfg.mode!r}")
         if cfg.ordering not in ORDERINGS:
@@ -100,6 +103,10 @@ class RunConfig:
         for pair in cfg.hierarchies:
             if len(pair) != 2 or pair[0] not in MODES or pair[1] not in ORDERINGS:
                 raise ConfigError(f"unknown sweep hierarchy {pair!r}")
+        stems = [_sweep_stem(m, o, j) for j in cfg.j_values for m, o in cfg.hierarchies]
+        for stem in stems:
+            if stems.count(stem) > 1:
+                raise ConfigError(f"two sweeps would both write {stem}.csv")
         return cfg
 
 
@@ -120,6 +127,12 @@ def _parse_model(raw: dict) -> HamiltonianModel:
         )
         return HamiltonianModel(tuple(float(h) for h in raw["h"]), couplings)
     raise ConfigError(f"unknown model type {kind!r}")
+
+
+def _sweep_stem(mode: str, ordering: str, j_value: float) -> str:
+    """The file stem of one sweep's outputs."""
+    tag = mode + ("_parent" if ordering == "parent" else "")
+    return f"sweep_{tag}_j{j_value:g}"
 
 
 def _write(path: Path, text: str) -> None:
@@ -173,8 +186,7 @@ def _sweep_task(args):
         target, plist, cfg.n_p_max, cfg.gtol, cfg.max_iterations,
         rng=np.random.default_rng(cfg.tie_seed or 0),
     )
-    tag = plist.mode + ("_parent" if plist.ordering == "parent" else "")
-    stem = f"sweep_{tag}_j{j_value:g}"
+    stem = _sweep_stem(plist.mode, plist.ordering, j_value)
     return stem, sweep_to_csv(result), sweep_thetas_json(result), result.reference_energy
 
 
@@ -198,6 +210,11 @@ def _sweep_lists(cfg: RunConfig) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
+    if cfg.model.n_qubits > DENSE_QUBIT_CAP:
+        raise ConfigError(
+            f"sweep needs the dense exact reference, capped at {DENSE_QUBIT_CAP} "
+            f"qubits; the model has {cfg.model.n_qubits}"
+        )
     plists = _sweep_lists(cfg)
     tasks = [
         (cfg, plists[mode, ordering], j)

@@ -128,6 +128,8 @@ def enumerate_connected(model: HamiltonianModel, k_max: int) -> list[MultiIndex]
     connected index of order m+1 has a connected order-m parent of this form,
     so the growth is exhaustive.
     """
+    if k_max < 1:
+        return []
     n_c = model.n_couplings
     sup = [c.operator.support() for c in model.couplings]
     frontier = {MultiIndex.delta(n_c, b) for b in range(n_c)}

@@ -8,11 +8,11 @@ through the model's shared diagonal.  Rotations apply exp(i * scale * theta * T)
 exactly as cos(a)|psi> + i sin(a) T|psi>; no dense operator is ever
 materialized.
 
-States are complex (``complex128``) except on the real path of
-``energy_and_gradient``: when every generator has an odd Y count and every
-coupling an even one, i*T and H are real matrices, so the state stays
-``float64`` from the real start state to the end.  ``apply_pauli`` and
-``energy`` keep a real state real when the operator they apply is real.
+States are complex (``complex128``) except inside ``energy_and_gradient``
+when every generator has an odd Y count and every coupling an even one: then
+i*T and H are real matrices, and its one adjoint pass runs on ``float64``
+states.  ``apply_pauli`` and ``energy`` keep a real state real when the
+operator they apply is real.
 """
 
 from __future__ import annotations
@@ -128,64 +128,42 @@ def energy_and_gradient(
 
     Matches ``gradient`` to machine precision while costing O(n_units)
     rotation applications instead of O(n_units^2); this is the path the
-    optimizer calls.  When every generator has an odd Y count and H is real,
-    the pass runs in real arithmetic (``_real_adjoint``); otherwise it runs
-    on complex states.
+    optimizer calls.  A unit is exp(a R), R = i * T, a = scale * theta; R is
+    anti-Hermitian, so one R lam gives both the gradient term
+    2 * scale * Re<lam|R psi_(i+1)> = -2 * scale * Re<R lam|psi_(i+1)> and
+    the un-rotation of lam.  States are float64 when R and H are real.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size != ansatz.num_params:
         raise ValueError("parameter vector length mismatch")
     if model.n_qubits != ansatz.n_qubits:
         raise ValueError("ansatz and model qubit counts differ")
-    if model.is_real and all(u.generator.phase_exp % 2 for u in ansatz.units):
-        return _real_adjoint(ansatz, thetas, model)
-    states = [basis_state(ansatz.n_qubits, ansatz.start_state)]
-    for unit in ansatz.units:
-        states.append(
-            apply_rotation(states[-1], unit.generator, thetas[unit.param_index], unit.scale)
-        )
-    psi = states[-1]
-    lam = _apply_model(psi, model)
-    value = float(np.vdot(psi, lam).real)
-    grad = np.zeros(ansatz.num_params)
-    for i in range(len(ansatz.units) - 1, -1, -1):
-        unit = ansatz.units[i]
-        # d/dtheta exp(i c theta T) = i c T * U; <lam| icT |psi_i>
-        overlap = np.vdot(lam, apply_pauli(states[i + 1], unit.generator))
-        grad[unit.param_index] += -2.0 * unit.scale * overlap.imag
-        lam = apply_rotation(lam, unit.generator, -thetas[unit.param_index], unit.scale)
-    return value, grad
-
-
-def _real_adjoint(
-    ansatz: ProductAnsatz, thetas: np.ndarray, model: HamiltonianModel
-) -> tuple[float, np.ndarray]:
-    """The adjoint pass on float64 states, for odd-Y generators and a real H.
-
-    Each unit is exp(a R) with R = i*T real and antisymmetric, so
-    psi_(i+1) = cos(a) psi_i + sin(a) R psi_i, the gradient term
-    2 * scale * <lam|R|psi_(i+1)> equals -2 * scale * <R lam|psi_(i+1)>, and
-    the same R lam un-rotates lam.
-    """
     units = ansatz.units
     angles = np.array([u.scale * thetas[u.param_index] for u in units])
     cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
-    psi = basis_state(ansatz.n_qubits, ansatz.start_state).real
+    psi = basis_state(ansatz.n_qubits, ansatz.start_state)
+    if model.is_real and all(u.generator.phase_exp % 2 for u in units):
+        psi = psi.real
     states = [psi]
     for unit, c, s in zip(units, cos, sin):
-        perm, _, r = unit.generator.action
-        psi = c * psi + s * (r * psi[perm])
+        psi = c * psi + s * _apply_r(psi, unit.generator)
         states.append(psi)
     lam = _apply_model(psi, model)
-    value = float(np.dot(psi, lam))
+    value = float(np.vdot(psi, lam).real)
     grad = np.zeros(ansatz.num_params)
     for i in range(len(units) - 1, -1, -1):
         unit = units[i]
-        perm, _, r = unit.generator.action
-        r_lam = r * lam[perm]
-        grad[unit.param_index] -= 2.0 * unit.scale * np.dot(r_lam, states[i + 1])
+        r_lam = _apply_r(lam, unit.generator)
+        grad[unit.param_index] -= 2.0 * unit.scale * np.vdot(r_lam, states[i + 1]).real
         lam = cos[i] * lam - sin[i] * r_lam
     return value, grad
+
+
+def _apply_r(psi: np.ndarray, generator: PauliString) -> np.ndarray:
+    """R psi with R = i * generator: real for an odd Y count."""
+    perm, _, real = generator.action
+    out = real * psi[perm]
+    return out if generator.phase_exp % 2 else 1j * out
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -230,3 +230,39 @@ def test_unknown_sweep_hierarchy_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, sweep={"hierarchies": [["pert", "sideways"]]})
     assert main(["--config", str(cfg), "sweep"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_k_max_below_one_is_usage_error(tmp_path, capsys, k_max):
+    cfg = write_config(tmp_path, k_max=k_max)
+    assert main(["--config", str(cfg), "hierarchy"]) == 2
+    assert "k_max must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep", [
+    {"j_values": [0.15, 0.1500001], "hierarchies": [["pert", "parent"]]},
+    {"j_values": [0.15], "hierarchies": [["loc", "hierarchy"], ["loc", "hierarchy"]]},
+])
+def test_sweeps_sharing_an_output_stem_are_usage_error(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path, sweep=dict(n_p_max=2, **sweep))
+    assert main(["--config", str(cfg), "sweep"]) == 2
+    assert "would both write sweep_" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_above_dense_cap_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    import pertvqe.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no sweep work may start")
+
+    monkeypatch.setattr(pertvqe.cli, "build_qca", forbidden)
+    cfg = write_config(
+        tmp_path,
+        model={"type": "tfim", "n_qubits": 13, "h": 1.0, "j": 0.15},
+        sweep={"n_p_max": 2, "j_values": [0.15], "hierarchies": [["pert", "parent"]]},
+    )
+    assert main(["--config", str(cfg), "sweep"]) == 2
+    assert "capped at 12 qubits" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

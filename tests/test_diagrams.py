@@ -93,6 +93,13 @@ def test_enumerate_connected_matches_brute_force(rng):
         assert fast == slow
 
 
+def test_enumerate_connected_is_empty_below_order_one():
+    model = tfim_chain(4, 1.0, 0.2)
+    assert enumerate_connected(model, 0) == []
+    assert enumerate_connected(model, -1) == []
+    assert enumerate_leading(model, 0) == {}
+
+
 def test_leading_groups_tfim_four_sites():
     model = tfim_chain(4, 1.0, 1.0)
     leading = enumerate_leading(model, 4)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,27 @@ def test_disconnected_contribution_cancels_exactly():
     assert est.table.tilde((1, 0, 1)) == pytest.approx(
         thetas[(1, 0, 0)] * thetas[(0, 0, 1)], abs=1e-15
     )
+
+
+def test_contribution_reproduces_fixed_angles_and_cancels_disconnected():
+    model = tfim_chain(6, 1.0, 0.2)
+    est = ThetaEstimator(model, build_qca(6), 4)
+    for k, theta, _ in est._fixed:
+        assert est.contribution(k) == theta
+    fixed = {k for k, _, _ in est._fixed}
+    both_fixed, one_unfixed = [], []
+    for k in itertools.product(range(5), repeat=model.n_couplings):
+        if not 1 <= sum(k) <= 4 or est.table.state_phase(k)[0] == 0:
+            continue
+        split = is_disconnected_split(model, k)
+        if split is None:
+            continue
+        halves_fixed = split[0] in fixed and split[1] in fixed
+        (both_fixed if halves_fixed else one_unfixed).append(est.contribution(k))
+    assert len(both_fixed) == 23
+    assert max(abs(v) for v in both_fixed) < 1e-15
+    # the condition matters: with an unfixed half the angle need not vanish
+    assert max(abs(v) for v in one_unfixed) > 1e-6
 
 
 def test_estimates_are_real_and_assign_single_phase_class():

@@ -99,11 +99,14 @@ def real_cases(draw):
 
 
 def energy_gradient_and_path(ansatz, theta, model):
-    """energy_and_gradient plus whether it took the real-arithmetic path."""
-    real_adjoint = simulator._real_adjoint
-    with mock.patch.object(simulator, "_real_adjoint", wraps=real_adjoint) as spy:
+    """energy_and_gradient plus whether every state its forward and backward
+    passes rotated was float64 (the real-arithmetic path); a mix of dtypes
+    is neither path and fails here."""
+    with mock.patch.object(simulator, "_apply_r", wraps=simulator._apply_r) as spy:
         value, grad = energy_and_gradient(ansatz, theta, model)
-    return value, grad, spy.called
+    dtypes = {call.args[0].dtype for call in spy.call_args_list}
+    assert dtypes in ({np.dtype(np.float64)}, {np.dtype(np.complex128)})
+    return value, grad, dtypes == {np.dtype(np.float64)}
 
 
 def assert_matches_oracles(ansatz, theta, model, value, grad):
