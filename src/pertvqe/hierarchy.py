@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzUnit, ProductAnsatz
+from .ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from .diagrams import enumerate_leading, is_disconnected_split
 from .pauli import MultiIndex, PauliString, format_bits
 from .perturbation import CoefficientTable, HamiltonianModel
@@ -322,6 +322,28 @@ def estimate_thetas(
     return ThetaEstimator(model, ansatz, k_max).estimates()
 
 
+def duplication_defect(
+    single: HamiltonianModel, doubled: HamiltonianModel
+) -> tuple[float, int]:
+    """Size extensivity (acceptance criterion 6) of fourth-order estimates
+    on layered ansatzes, for ``doubled`` = two disjoint copies of ``single``,
+    the first copy's qubits and couplings before the second's.  Returns the
+    largest change of a ``single`` angle lifted onto either copy (inf if the
+    lifted index has none) and the number of estimates on slots acting on
+    both copies; both are zero for a size-extensive construction."""
+    est_single = ThetaEstimator(single, build_qca(single.n_qubits), 4)
+    est_double = ThetaEstimator(doubled, build_qca(doubled.n_qubits), 4)
+    doubles = {tuple(k): v for k, v, _ in est_double._fixed}
+    pad = (0,) * single.n_couplings
+    worst = 0.0
+    for k, v, _ in est_single._fixed:
+        for lifted in (tuple(k) + pad, pad + tuple(k)):
+            worst = max(worst, abs(doubles.get(lifted, math.inf) - v))
+    n = single.n_qubits
+    states = [e.slot.state for e in est_double.estimates()]
+    return worst, sum(1 for s in states if s >> n and s % (1 << n))
+
+
 def j_shortcut_weights(
     model: HamiltonianModel,
     leading: dict[tuple[int, int], list[MultiIndex]],
@@ -426,8 +448,6 @@ def build_priority_list(
         ranked = [e for e in ranked if e.slot.generator.weight <= 2]
     elif mode == "loc":
         ranked = [e for e in ranked if _is_nearest_neighbour_pair(e.slot.generator)]
-    if not ranked:
-        raise ValueError(f"no generators survive the {mode} filter")
     return PriorityList(mode, ordering, model.n_qubits, tuple(ranked))
 
 

@@ -384,3 +384,29 @@ def series_residual(model: HamiltonianModel, k_max: int, scale: float) -> float:
     ground = abs(overlaps[0])
     tail = float(np.sum(np.abs(overlaps[1:]) ** 2))
     return tail / (1.0 + ground)
+
+
+def factorization_defect(
+    model: HamiltonianModel, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> float:
+    """Largest |C_(ka+kb) - C_ka * C_kb| over the pairs (ka, kb).
+
+    Zero, to rounding, when every pair splits into indices on support-disjoint
+    coupling groups: disconnected diagrams factorize (acceptance criterion 5).
+    """
+    pairs = [(MultiIndex(ka), MultiIndex(kb)) for ka, kb in pairs]
+    table = CoefficientTable(model, max(ka.add(kb).order for ka, kb in pairs))
+    return max(
+        abs(table.normalized(ka.add(kb)) - table.normalized(ka) * table.normalized(kb))
+        for ka, kb in pairs
+    )
+
+
+def residual_slope(model: HamiltonianModel, scales: Sequence[float]) -> float:
+    """Least-squares slope of log ``series_residual`` at fourth order against
+    log scale.  The order-4 truncation leaves an infidelity of order
+    scale^10, so the slope is near 10 where the series converges
+    (acceptance criterion 7)."""
+    scales = np.asarray(scales, dtype=float)
+    residuals = np.array([series_residual(model, 4, s) for s in scales])
+    return float(np.polyfit(np.log(scales), np.log(residuals), 1)[0])

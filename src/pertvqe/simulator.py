@@ -168,3 +168,23 @@ def _apply_r(psi: np.ndarray, generator: PauliString) -> np.ndarray:
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.vdot(a, b)) ** 2)
+
+
+def best_fidelity(ansatz: ProductAnsatz, target: np.ndarray, rng) -> float:
+    """Highest fidelity with ``target`` that L-BFGS-B reaches from up to six
+    random starts drawn from ``rng``, stopping at 1 - 1e-6 (the spanning
+    check of acceptance criterion 11)."""
+    from scipy.optimize import minimize
+
+    def infidelity(theta):
+        return 1.0 - fidelity(target, prepare(ansatz, theta))
+
+    best = 0.0
+    for _ in range(6):
+        theta0 = rng.uniform(0, 2 * np.pi, ansatz.num_params)
+        res = minimize(infidelity, theta0, method="L-BFGS-B",
+                       options={"maxiter": 4000, "ftol": 1e-18, "gtol": 1e-12})
+        best = max(best, 1.0 - float(res.fun))
+        if best >= 1 - 1e-6:
+            break
+    return best

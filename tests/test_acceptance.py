@@ -5,24 +5,30 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 The convergence study (criterion 10) dominates the runtime.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca, gram_matrix, manifold_area
-from pertvqe.hierarchy import ThetaEstimator, build_priority_list, estimate_thetas
-from pertvqe.pauli import MultiIndex, PauliString, format_bits
+from pertvqe.hierarchy import (
+    ThetaEstimator,
+    build_priority_list,
+    duplication_defect,
+    estimate_thetas,
+)
+from pertvqe.pauli import PauliString
 from pertvqe.perturbation import (
     CoefficientTable,
     Coupling,
     HamiltonianModel,
-    exact_ground,
-    series_residual,
+    factorization_defect,
+    residual_slope,
     tfim_chain,
 )
-from pertvqe.simulator import energy, fidelity, gradient, prepare
-from pertvqe.vqe import hierarchy_sweep, optimize
+from pertvqe.simulator import best_fidelity, energy, gradient, prepare
+from pertvqe.vqe import hierarchy_sweep
 
 from conftest import two_block_model
 
@@ -170,21 +176,15 @@ def test_criterion_05_disconnected_factorization():
     worst = 0.0
     cases = 0
     splits = [((0, 1), (2, 3)), ((0, 1, 2), (3, 4)), ((0, 1), (2, 3, 4, 5))]
+    pairs = list(itertools.product(
+        ((1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0)),
+        ((0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 0, 2)),
+    ))
     for trial in range(50):
         left, right = splits[trial % len(splits)]
         model = two_block_model(rng, left, right, 2, 2)
-        table = CoefficientTable(model, 4)
-        for ka in ((1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0)):
-            for kb in ((0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 0, 2)):
-                k = MultiIndex(ka).add(kb)
-                if k.order > 4:
-                    continue
-                defect = abs(
-                    table.normalized(k)
-                    - table.normalized(ka) * table.normalized(kb)
-                )
-                worst = max(worst, defect)
-                cases += 1
+        worst = max(worst, factorization_defect(model, pairs))
+        cases += len(pairs)
     elapsed = time.perf_counter() - t0
     _report(
         "5",
@@ -204,25 +204,12 @@ def test_criterion_06_duplication_extensivity():
         for q in (0, 1, 2, 4, 5, 6)
     )
     doubled = HamiltonianModel((1.0,) * 8, couplings)
-    est_single = ThetaEstimator(single, build_qca(4), 4)
-    est_double = ThetaEstimator(doubled, build_qca(8), 4)
-    singles = {tuple(k): v for k, v, _ in est_single._fixed}
-    doubles = {tuple(k): v for k, v, _ in est_double._fixed}
-    worst = 0.0
-    for k, v in singles.items():
-        worst = max(worst, abs(doubles[k + (0, 0, 0)] - v))
-        worst = max(worst, abs(doubles[(0, 0, 0) + k] - v))
-    cross = [
-        e
-        for e in est_double.estimates()
-        if format_bits(e.slot.state, 8)[:4] != "0000"
-        and format_bits(e.slot.state, 8)[4:] != "0000"
-    ]
+    worst, cross = duplication_defect(single, doubled)
     _report(
         "6",
         worst <= 1e-10 and not cross,
         f"per-copy estimates agree to {worst:.2e} (tol 1e-10); "
-        f"{len(cross)} cross-copy slots received estimates (expect 0)",
+        f"{cross} cross-copy slots received estimates (expect 0)",
     )
 
 
@@ -232,9 +219,7 @@ def test_criterion_06_duplication_extensivity():
 def test_criterion_07_series_residual_scaling():
     t0 = time.perf_counter()
     model = tfim_chain(4, 1.0, 1.0)
-    scales = np.array([0.02, 0.03, 0.05, 0.07, 0.1])
-    residuals = np.array([series_residual(model, 4, s) for s in scales])
-    slope = np.polyfit(np.log(scales), np.log(residuals), 1)[0]
+    slope = residual_slope(model, [0.02, 0.03, 0.05, 0.07, 0.1])
     elapsed = time.perf_counter() - t0
     _report(
         "7",
@@ -416,24 +401,6 @@ def test_criterion_10c_critical_regime(convergence_data):
 # -- 11: spanning and gradient cross-checks -----------------------------------------------------------------------------------
 
 
-def _max_overlap(ansatz, target, rng, attempts=6):
-    from scipy.optimize import minimize
-
-    best = 0.0
-    for _ in range(attempts):
-        theta0 = rng.uniform(0, 2 * np.pi, ansatz.num_params)
-
-        def objective(theta):
-            return 1.0 - fidelity(target, prepare(ansatz, theta))
-
-        res = minimize(objective, theta0, method="L-BFGS-B",
-                       options={"maxiter": 4000, "ftol": 1e-18, "gtol": 1e-12})
-        best = max(best, 1.0 - float(res.fun))
-        if best >= 1 - 1e-6:
-            break
-    return best
-
-
 def test_criterion_11_spanning_and_gradients():
     rng = np.random.default_rng(17)
     worst_fid = 1.0
@@ -443,7 +410,7 @@ def test_criterion_11_spanning_and_gradients():
         for _ in range(20):
             target = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             target /= np.linalg.norm(target)
-            worst_fid = min(worst_fid, _max_overlap(qca, target, rng))
+            worst_fid = min(worst_fid, best_fidelity(qca, target, rng))
     model = tfim_chain(3, 1.0, 0.7)
     a = build_qca(3)
     theta = rng.uniform(-0.8, 0.8, a.num_params)

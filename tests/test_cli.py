@@ -266,3 +266,54 @@ def test_sweep_above_dense_cap_fails_before_any_work(tmp_path, monkeypatch, caps
     assert main(["--config", str(cfg), "sweep"]) == 2
     assert "capped at 12 qubits" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("hierarchy", {"model": {"type": "tfim", "h": 1.0}}, "missing field 'n_qubits'"),
+    ("hierarchy", {"k_max": "abc"}, "k_max:"),
+    ("sweep", {"sweep": {"j_values": ["x"]}}, "sweep.j_values:"),
+    ("hierarchy", {"hierarchy": {"tie_seed": "x"}}, "hierarchy.tie_seed:"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.0],
+                             "couplings": [{"j": 0.1, "pauli": "XQ"}]}}, "'XQ'"),
+    ("hierarchy", {"model": {"type": "tfim", "n_qubits": 1}}, "at least two qubits"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.2, 0.9],
+                             "couplings": [{"j": 0.1, "pauli": "XIX"}]},
+                   "k_max": 1, "hierarchy": {"mode": "loc"}}, "survive the loc filter"),
+    ("sweep", {"model": {"type": "tfim", "n_qubits": 3, "h": 1.0, "j": 0.2},
+               "sweep": {"n_p_max": -1, "j_values": [0.2],
+                         "hierarchies": [["pert", "hierarchy"]]}}, "n_p_max"),
+], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
+        "one-site-chain", "empty-loc-filter", "negative-n_p_max"])
+def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["--config", str(cfg), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_value_error_inside_a_command_propagates(tmp_path, monkeypatch):
+    import pertvqe.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(pertvqe.cli, "hierarchy_sweep", broken)
+    cfg = write_config(
+        tmp_path,
+        model={"type": "tfim", "n_qubits": 3, "h": 1.0, "j": 0.2},
+        sweep={"n_p_max": 1, "j_values": [0.2], "hierarchies": [["pert", "hierarchy"]]},
+    )
+    with pytest.raises(ValueError, match="a programming error"):
+        main(["--config", str(cfg), "sweep"])
+
+
+def test_verify_prints_fail_and_exits_three_when_a_check_fails(tmp_path, monkeypatch, capsys):
+    import pertvqe.cli
+
+    monkeypatch.setattr(pertvqe.cli, "residual_slope", lambda model, scales: 2.0)
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "verify"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  series residual slope: slope 2.00" in out
+    assert out.count("PASS") == 3

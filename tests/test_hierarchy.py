@@ -11,6 +11,7 @@ from pertvqe.hierarchy import (
     build_priority_list,
     check_generating,
     check_matched,
+    duplication_defect,
     estimate_thetas,
     hierarchy_to_json,
     j_shortcut_weights,
@@ -216,30 +217,32 @@ def test_back_action_magnitudes_do_not_exceed_series_terms():
 
 
 def test_size_extensive_duplication():
-    # two disjoint copies of the same chain reproduce per-copy angles and
-    # give cross-copy targets nothing
+    # two disjoint copies of the same chain reproduce per-copy angles, give
+    # cross-copy targets nothing, and fix no diagram straddling the copies
     single = tfim_chain(4, 1.0, 0.3)
     couplings = tuple(
         Coupling(0.3, PauliString.from_ops(8, {q: "X", q + 1: "X"}))
         for q in (0, 1, 2, 4, 5, 6)
     )
     doubled = HamiltonianModel((1.0,) * 8, couplings)
-    est_single = ThetaEstimator(single, build_qca(4), 4)
+    worst, cross = duplication_defect(single, doubled)
+    assert worst <= 1e-10 and cross == 0
     est_double = ThetaEstimator(doubled, build_qca(8), 4)
-    singles = {tuple(k): v for k, v, _ in est_single._fixed}
-    doubles = {tuple(k): v for k, v, _ in est_double._fixed}
-    for k, v in singles.items():
-        low = k + (0, 0, 0)
-        high = (0, 0, 0) + k
-        assert doubles[low] == pytest.approx(v, abs=1e-10)
-        assert doubles[high] == pytest.approx(v, abs=1e-10)
-    # no fixed diagram straddles the copies
-    for k in doubles:
-        assert not (any(k[:3]) and any(k[3:]))
-    # cross-copy slots received no estimate
-    for e in est_double.estimates():
-        bits = format_bits(e.slot.state, 8)
-        assert bits[:4] == "0000" or bits[4:] == "0000"
+    assert not any(any(k[:3]) and any(k[3:]) for k, _, _ in est_double._fixed)
+
+
+def test_duplication_defect_reports_unequal_copies_and_a_bridge():
+    single = tfim_chain(3, 1.0, 0.3)
+    # second copy at J = 0.2, not 0.3: order-1 angles differ by 0.1/4
+    unequal = HamiltonianModel((1.0,) * 6, tuple(
+        Coupling(j, PauliString.from_ops(6, {q: "X", q + 1: "X"}))
+        for j, q in ((0.3, 0), (0.3, 1), (0.2, 3), (0.2, 4))
+    ))
+    assert duplication_defect(single, unequal) == (pytest.approx(0.025, abs=1e-15), 0)
+    # a six-site chain bridges the copies: indices do not lift, and slots
+    # across the middle bond receive estimates
+    worst, cross = duplication_defect(single, tfim_chain(6, 1.0, 0.3))
+    assert worst == np.inf and cross > 0
 
 
 def test_disconnected_indices_give_zero_on_random_blocks(rng):

@@ -12,8 +12,10 @@ from pertvqe.perturbation import (
     coefficients_to_json,
     dense_hamiltonian,
     exact_ground,
+    factorization_defect,
     normalized_c,
     perturbative_state,
+    residual_slope,
     series_residual,
     tfim_chain,
     tilde_c,
@@ -103,10 +105,7 @@ def test_normalized_zero_order():
 
 
 def test_normalized_disconnected_factorizes_tfim():
-    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 2)
-    assert table.normalized((1, 0, 1)) == pytest.approx(
-        table.normalized((1, 0, 0)) * table.normalized((0, 0, 1)), abs=1e-14
-    )
+    assert factorization_defect(tfim_chain(4, 1.0, 1.0), [((1, 0, 0), (0, 0, 1))]) <= 1e-14
 
 
 def test_normalized_matches_fit_oracle(rng):
@@ -163,15 +162,21 @@ def test_normalization_series_keeps_unit_norm():
 
 def test_disconnected_factorization_randomized(rng):
     # two support-disjoint coupling groups factorize exactly
+    pairs = [
+        (ka, kb)
+        for ka in ((1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0))
+        for kb in ((0, 0, 1, 0), (0, 0, 1, 1))
+    ]
     for _ in range(10):
         model = two_block_model(rng, (0, 1, 2), (3, 4, 5), 2, 2)
-        table = CoefficientTable(model, 4)
-        for ka in ((1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)):
-            for kb in ((0, 0, 1, 0), (0, 0, 1, 1)):
-                k = MultiIndex(ka).add(kb)
-                lhs = table.normalized(k)
-                rhs = table.normalized(ka) * table.normalized(kb)
-                assert lhs == pytest.approx(rhs, abs=1e-10)
+        assert factorization_defect(model, pairs) <= 1e-10
+
+
+def test_factorization_defect_reports_overlapping_couplings():
+    # XXI and IXX share qubit 1, so their second-order diagram is connected
+    # and does not factorize
+    defect = factorization_defect(tfim_chain(3, 1.0, 1.0), [((1, 0), (0, 1))])
+    assert defect == pytest.approx(1 / 16, abs=1e-15)
 
 
 # -- exact diagonalization -------------------------------------------------------------
@@ -221,11 +226,12 @@ def test_series_residual_vanishes_at_zero_scale():
 
 
 def test_series_residual_slope():
-    model = tfim_chain(4, 1.0, 1.0)
-    scales = np.array([0.02, 0.04, 0.06, 0.1])
-    residuals = np.array([series_residual(model, 4, s) for s in scales])
-    slope = np.polyfit(np.log(scales), np.log(residuals), 1)[0]
-    assert slope >= 2 * 5 - 1.0
+    assert residual_slope(tfim_chain(4, 1.0, 1.0), [0.02, 0.04, 0.06, 0.1]) >= 2 * 5 - 1.0
+
+
+def test_residual_slope_reports_divergent_series():
+    # at couplings beyond the radius of convergence the residual saturates
+    assert residual_slope(tfim_chain(4, 1.0, 1.0), [2.0, 4.0, 8.0]) < 3.0
 
 
 def test_series_residual_slope_low_truncation():

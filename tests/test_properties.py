@@ -1,5 +1,6 @@
-"""Property tests of the compiled Pauli action and of the real and complex
-paths of the adjoint gradient, against independent dense oracles."""
+"""Property tests of the compiled Pauli action, of the real and complex
+paths of the adjoint gradient against independent dense oracles, and of
+parameter removal and fixing on layered ansatzes."""
 
 from unittest import mock
 
@@ -7,7 +8,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pertvqe import simulator
-from pertvqe.ansatz import AnsatzUnit, ProductAnsatz
+from pertvqe.ansatz import (
+    AnsatzUnit,
+    ProductAnsatz,
+    build_qca,
+    fix_parameter,
+    remove_parameter,
+)
 from pertvqe.pauli import PauliString
 from pertvqe.perturbation import Coupling, HamiltonianModel
 from pertvqe.simulator import (
@@ -195,3 +202,61 @@ def test_mixed_ansatz_takes_complex_path_and_matches(case, even_generator, data)
     value, grad, real = energy_gradient_and_path(ansatz, theta, model)
     assert not real
     assert_matches_oracles(ansatz, theta, model, value, grad)
+
+
+# -- parameter removal and fixing ----------------------------------------------
+
+
+def _distinct_pair(draw, n_params):
+    i = draw(st.integers(0, n_params - 1))
+    j = draw(st.integers(0, n_params - 2))
+    return i, j + (j >= i)
+
+
+_TIE_COEFFICIENTS = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def qca_cases(draw):
+    """A layered ansatz on n <= 3 qubits in which up to two parameters are
+    already tied to others (shared indices, non-unit scales), a parameter
+    vector for it, and a distinct parameter pair (i, j)."""
+    ansatz = build_qca(draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(0, 2))):
+        if ansatz.num_params > 2:
+            ansatz = fix_parameter(ansatz, *_distinct_pair(draw, ansatz.num_params),
+                                   draw(_TIE_COEFFICIENTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(-np.pi, np.pi, ansatz.num_params)
+    return ansatz, theta, _distinct_pair(draw, ansatz.num_params)
+
+
+def assert_compact(child, parent):
+    assert child.num_params == parent.num_params - 1
+    assert {u.param_index for u in child.units} == set(range(child.num_params))
+
+
+@PROPERTY
+@given(qca_cases())
+def test_remove_parameter_is_a_zero_angle(case):
+    ansatz, theta, (i, _) = case
+    child = remove_parameter(ansatz, i)
+    assert_compact(child, ansatz)
+    assert child.n_units == ansatz.n_units - sum(u.param_index == i for u in ansatz.units)
+    expect = theta.copy()
+    expect[i] = 0.0
+    got = prepare(child, np.delete(theta, i))
+    assert np.max(np.abs(got - prepare(ansatz, expect))) <= 1e-12
+
+
+@PROPERTY
+@given(qca_cases(), _TIE_COEFFICIENTS)
+def test_fix_parameter_ties_one_angle_to_another(case, c):
+    ansatz, theta, (i, j) = case
+    child = fix_parameter(ansatz, i, j, c)
+    assert_compact(child, ansatz)
+    assert child.n_units == ansatz.n_units
+    expect = theta.copy()
+    expect[i] = c * theta[j]
+    got = prepare(child, np.delete(theta, i))
+    assert np.max(np.abs(got - prepare(ansatz, expect))) <= 1e-12

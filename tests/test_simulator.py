@@ -16,6 +16,7 @@ from pertvqe.simulator import (
     apply_pauli,
     apply_rotation,
     basis_state,
+    best_fidelity,
     energy,
     energy_and_gradient,
     fidelity,
@@ -228,3 +229,11 @@ def test_gradient_vanishes_at_optimum():
     out = optimize(a, model, np.zeros(a.num_params), gtol=1e-9)
     g = gradient(a, out.theta, model)
     assert np.max(np.abs(g)) <= 1e-8
+
+
+def test_best_fidelity_reports_unreachable_target():
+    # one Y rotation on qubit 0 never leaves span{|00>, |01>}
+    ansatz = ProductAnsatz(2, (AnsatzUnit(PauliString.from_label("YI"), 0),), 0, 1)
+    rng = np.random.default_rng(0)
+    assert best_fidelity(ansatz, basis_state(2, 0b10), rng) <= 1e-15
+    assert best_fidelity(ansatz, basis_state(2, 0b01), rng) == pytest.approx(1.0, abs=1e-12)
