@@ -28,7 +28,6 @@ from .hierarchy import (
 )
 from .pauli import PauliString
 from .perturbation import (
-    DENSE_QUBIT_CAP,
     Coupling,
     DegeneracyError,
     HamiltonianModel,
@@ -36,7 +35,7 @@ from .perturbation import (
     residual_slope,
     tfim_chain,
 )
-from .simulator import best_fidelity
+from .simulator import QUBIT_CAP, best_fidelity
 from .vqe import hierarchy_sweep, sweep_thetas_json, sweep_to_csv
 
 EXIT_OK = 0
@@ -78,21 +77,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        _object(raw, "config")
         if "model" not in raw:
             raise ConfigError("config requires a 'model' section")
         model = _parse_model(raw["model"])
-        hier = raw.get("hierarchy", {})
-        sweep = raw.get("sweep", {})
+        hier = _object(raw.get("hierarchy", {}), "hierarchy")
+        sweep = _object(raw.get("sweep", {}), "sweep")
         cfg = cls(
             model=model,
-            k_max=_convert(int, raw, "k_max", 4),
+            k_max=_convert(_integer, raw, "k_max", 4),
             mode=hier.get("mode", "pert"),
             ordering=hier.get("ordering", "hierarchy"),
             tie_seed=None if hier.get("tie_seed") is None
-            else _convert(int, hier, "tie_seed", None, "hierarchy."),
-            n_p_max=_convert(int, sweep, "n_p_max", 30, "sweep."),
+            else _convert(_integer, hier, "tie_seed", None, "hierarchy."),
+            n_p_max=_convert(_integer, sweep, "n_p_max", 30, "sweep."),
             gtol=_convert(float, sweep, "gtol", 1e-9, "sweep."),
-            max_iterations=_convert(int, sweep, "max_iterations", 2000, "sweep."),
+            max_iterations=_convert(_integer, sweep, "max_iterations", 2000, "sweep."),
             j_values=_convert(float, sweep, "j_values", [0.15, 6.0, 1.0], "sweep."),
             hierarchies=list(sweep.get("hierarchies", DEFAULT_HIERARCHIES)),
             out=raw.get("out", "."),
@@ -129,14 +129,28 @@ def _convert(kind, section: dict, key: str, default, where: str = ""):
         raise ConfigError(f"{where}{key}: {exc}") from exc
 
 
+def _object(value, where: str) -> dict:
+    """``value`` if it is a JSON object; anything else is a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing to truncate a number that is not integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _parse_model(raw: dict) -> HamiltonianModel:
-    kind = raw.get("type", "tfim")
+    kind = _object(raw, "model").get("type", "tfim")
     if kind not in ("tfim", "custom"):
         raise ConfigError(f"unknown model type {kind!r}")
     try:
         if kind == "tfim":
             return tfim_chain(
-                int(raw["n_qubits"]), float(raw.get("h", 1.0)), float(raw.get("j", 0.0))
+                _integer(raw["n_qubits"]), float(raw.get("h", 1.0)), float(raw.get("j", 0.0))
             )
         couplings = tuple(
             Coupling(float(c["j"]), PauliString.from_label(c["pauli"]))
@@ -234,9 +248,9 @@ def _sweep_lists(cfg: RunConfig) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
-    if cfg.model.n_qubits > DENSE_QUBIT_CAP:
+    if cfg.model.n_qubits > QUBIT_CAP:
         raise ConfigError(
-            f"sweep needs the dense exact reference, capped at {DENSE_QUBIT_CAP} "
+            f"sweep runs on the statevector engine, capped at {QUBIT_CAP} "
             f"qubits; the model has {cfg.model.n_qubits}"
         )
     plists = _sweep_lists(cfg)
@@ -321,12 +335,12 @@ def main(argv=None) -> int:
         print(f"{args.config}:{exc.lineno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.out:
-        raw["out"] = args.out
-    if args.seed is not None:
-        raw.setdefault("hierarchy", {})["tie_seed"] = args.seed
-
     try:
+        _object(raw, "config")
+        if args.out:
+            raw["out"] = args.out
+        if args.seed is not None:
+            _object(raw.setdefault("hierarchy", {}), "hierarchy")["tie_seed"] = args.seed
         cfg = RunConfig.from_dict(raw)
         if args.command == "hierarchy":
             return cmd_hierarchy(cfg)

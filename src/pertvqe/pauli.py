@@ -173,6 +173,16 @@ class PauliString:
         p = self.phase_exp
         return PauliAction(perm, (1j**p) * sign, (1j ** (p + p % 2)).real * sign)
 
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """op|psi> through the compiled action; a float64 state stays float64
+        when the phase i^p is real."""
+        perm, phased, real = self.action
+        if psi.size != perm.size:
+            raise ValueError("state dimension mismatch")
+        if psi.dtype == np.float64 and self.phase_exp % 2 == 0:
+            return real * psi[perm]
+        return phased * psi[perm]
+
     def to_matrix(self) -> np.ndarray:
         """Dense matrix (oracle-grade; exponential in qubit count)."""
         perm, phased, _ = self.action

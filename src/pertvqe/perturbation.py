@@ -1,6 +1,12 @@
 """Multivariate perturbation series of the ground state around the on-site
-field term, with memoized coefficient recursion and dense-diagonalization
-oracles.
+field term, with memoized coefficient recursion, and the exact ground state
+it is checked against.
+
+``HamiltonianModel.apply`` is the one Hamiltonian apply: the field diagonal
+plus each coupling's compiled Pauli action, with no matrix built.  The
+simulator's energies and gradients go through it, and ``exact_ground`` runs
+Lanczos over it.  ``dense_hamiltonian`` (capped at 12 qubits) remains for
+``series_residual``, which needs the full spectrum, and for test oracles.
 
 The Hamiltonian is  H = -sum_n h_n Z_n + sum_b J_b V_b  with Hermitian Pauli
 couplings V_b.  For positive fields the all-zeros basis state is the
@@ -16,6 +22,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .pauli import (
     MultiIndex,
@@ -28,6 +35,7 @@ from .pauli import (
 
 DENSE_QUBIT_CAP = 12
 _DEGENERACY_TOL = 1e-12
+_LANCZOS_SEED = 0x5EED
 
 
 class DegeneracyError(RuntimeError):
@@ -90,6 +98,18 @@ class HamiltonianModel:
         for q, h in enumerate(self.fields):
             diag -= h * (1.0 - 2.0 * ((idx >> q) & 1))
         return diag
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """H|psi>, the one Hamiltonian apply: the field diagonal plus each
+        nonzero coupling through its compiled Pauli action.  A float64 state
+        stays float64 when H is real."""
+        if psi.size != 1 << self.n_qubits:
+            raise ValueError("state dimension mismatch")
+        out = self.diagonal * psi
+        for c in self.couplings:
+            if c.strength != 0.0:
+                out = out + c.strength * c.operator.apply(psi)
+        return out
 
     @property
     def is_real(self) -> bool:
@@ -338,11 +358,22 @@ def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
 
 
 def exact_ground(model: HamiltonianModel) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the dense Hamiltonian, phase-fixed so the
-    largest-magnitude amplitude is real positive."""
-    h = dense_hamiltonian(model)
-    vals, vecs = np.linalg.eigh(h)
-    vec = vecs[:, 0]
+    """Lowest eigenpair by Lanczos (ARPACK ``eigsh``) over the matrix-free
+    ``HamiltonianModel.apply``, in float64 when H is real, converged to
+    machine precision, and phase-fixed so the largest-magnitude amplitude
+    is real positive.
+
+    Lanczos starts from a fixed seeded vector with every amplitude nonzero:
+    a start inside one symmetry sector (such as |0>, which fixes the parity)
+    never leaves it, and ARPACK's own random start differs from call to
+    call, so results would depend on the call history.
+    """
+    dim = 1 << model.n_qubits
+    dtype = np.float64 if model.is_real else np.complex128
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim).astype(dtype)
+    op = LinearOperator((dim, dim), matvec=model.apply, dtype=dtype)
+    vals, vecs = eigsh(op, k=1, which="SA", tol=0, v0=start)
+    vec = vecs[:, 0].astype(np.complex128)
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (abs(vec[pivot]) / vec[pivot])
     return float(vals[0]), vec

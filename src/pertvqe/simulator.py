@@ -3,10 +3,10 @@ analytic gradients.
 
 States are 1-D arrays of length 2**n with qubit q on bit q of the amplitude
 index.  Every Pauli string acts through its compiled action
-``op|psi> = phased * psi[perm]`` (``PauliString.action``), and the field term
-through the model's shared diagonal.  Rotations apply exp(i * scale * theta * T)
-exactly as cos(a)|psi> + i sin(a) T|psi>; no dense operator is ever
-materialized.
+``op|psi> = phased * psi[perm]`` (``PauliString.action``), and H through the
+model's one Hamiltonian apply (``HamiltonianModel.apply``).  Rotations apply
+exp(i * scale * theta * T) exactly as cos(a)|psi> + i sin(a) T|psi>; no dense
+operator is ever materialized.
 
 States are complex (``complex128``) except inside ``energy_and_gradient``
 when every generator has an odd Y count and every coupling an even one: then
@@ -45,10 +45,7 @@ def _action(psi: np.ndarray, op: PauliString) -> PauliAction:
 
 
 def apply_pauli(psi: np.ndarray, op: PauliString) -> np.ndarray:
-    perm, phased, real = _action(psi, op)
-    if psi.dtype == np.float64 and op.phase_exp % 2 == 0:
-        return real * psi[perm]
-    return phased * psi[perm]
+    return op.apply(psi)
 
 
 def apply_rotation(
@@ -79,9 +76,7 @@ def expectation(psi: np.ndarray, op: PauliString) -> float:
 
 def energy(psi: np.ndarray, model: HamiltonianModel) -> float:
     """<psi|H|psi> through the one Hamiltonian apply."""
-    if psi.size != 1 << model.n_qubits:
-        raise ValueError("state dimension mismatch")
-    return float(np.vdot(psi, _apply_model(psi, model)).real)
+    return float(np.vdot(psi, model.apply(psi)).real)
 
 
 def gradient(ansatz: ProductAnsatz, thetas, model: HamiltonianModel) -> np.ndarray:
@@ -112,14 +107,6 @@ def _energy_with_unit_shift(ansatz, thetas, model, pos, shift) -> float:
     return energy(psi, model)
 
 
-def _apply_model(psi: np.ndarray, model: HamiltonianModel) -> np.ndarray:
-    out = model.diagonal * psi
-    for c in model.couplings:
-        if c.strength != 0.0:
-            out = out + c.strength * apply_pauli(psi, c.operator)
-    return out
-
-
 def energy_and_gradient(
     ansatz: ProductAnsatz, thetas, model: HamiltonianModel
 ) -> tuple[float, np.ndarray]:
@@ -148,7 +135,7 @@ def energy_and_gradient(
     for unit, c, s in zip(units, cos, sin):
         psi = c * psi + s * _apply_r(psi, unit.generator)
         states.append(psi)
-    lam = _apply_model(psi, model)
+    lam = model.apply(psi)
     value = float(np.vdot(psi, lam).real)
     grad = np.zeros(ansatz.num_params)
     for i in range(len(units) - 1, -1, -1):

@@ -113,8 +113,9 @@ def hierarchy_sweep(
     (uniform within a half rotation period) and keeps the best; the warm
     start still guarantees the error never increases with the unit count.
     Row 0 is the bare start state; the relative error is measured against
-    dense diagonalization.  Optimizer failures abort the sweep but keep the
-    rows already produced; ``stop_reason`` then names the step and the cause.
+    the Lanczos ground energy of ``exact_ground``.  Optimizer failures abort
+    the sweep but keep the rows already produced; ``stop_reason`` then names
+    the step and the cause.
     """
     e_ref, _ = exact_ground(model)
     if rng is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pertvqe.pauli import MultiIndex, PauliString, unperturbed_energy
-from pertvqe.perturbation import Coupling, HamiltonianModel
+from pertvqe.perturbation import Coupling, HamiltonianModel, dense_hamiltonian
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -67,6 +67,16 @@ def two_block_model(rng, left_qubits, right_qubits, n_left, n_right,
     return HamiltonianModel(fields, tuple(couplings))
 
 
+def dense_ground(model):
+    """Independent oracle for ``exact_ground``: the lowest eigenpair of the
+    dense Hamiltonian from ``eigh``, phase-fixed the same way (largest-
+    magnitude amplitude real positive)."""
+    vals, vecs = np.linalg.eigh(dense_hamiltonian(model))
+    vec = vecs[:, 0]
+    pivot = int(np.argmax(np.abs(vec)))
+    return float(vals[0]), vec * (abs(vec[pivot]) / vec[pivot])
+
+
 def dyson_vector_states(model, k_max):
     """Independent oracle for the coefficient recursion.
 
@@ -127,8 +137,6 @@ def fit_ground_amplitude(model, target_state, monomial_orders, eps=0.015):
     """
     from itertools import product
 
-    from pertvqe.perturbation import exact_ground
-
     n_c = model.n_couplings
     grid_1d = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * eps
     points = list(product(grid_1d, repeat=n_c))
@@ -140,7 +148,7 @@ def fit_ground_amplitude(model, target_state, monomial_orders, eps=0.015):
             tuple(Coupling(float(j), c.operator)
                   for j, c in zip(strengths, model.couplings)),
         )
-        _, vec = exact_ground(trial)
+        _, vec = dense_ground(trial)
         # phase fixing: reference amplitude real positive at weak coupling
         vec = vec * (abs(vec[0]) / vec[0])
         values[row] = vec[target_state]
@@ -157,9 +165,8 @@ def even_sector_generators(model, probe=0.05):
     scaled by ``probe``).  These span the even-parity sector with exactly
     one angle per real degree of freedom."""
     from pertvqe.ansatz import build_qca
-    from pertvqe.perturbation import exact_ground
 
-    _, vec = exact_ground(model.rescaled(probe))
+    _, vec = dense_ground(model.rescaled(probe))
     vec = vec * (abs(vec[0]) / vec[0])
     gens = []
     for unit in build_qca(model.n_qubits).units:
@@ -184,12 +191,11 @@ def dense_angle_oracle(model, generators, scales=np.linspace(0.01, 0.1, 10),
     solution is unique.  Each angle is then fitted as sum_d a_d lam^d,
     d = 1..degree.  Returns an array (degree, n_units) whose row d - 1 holds
     a_d in the exp(-i theta T) convention of the estimates.  Shares nothing
-    with the estimator beyond ``prepare`` and ``exact_ground``.
+    with the estimator beyond ``prepare`` and ``dense_hamiltonian``.
     """
     from scipy.optimize import least_squares
 
     from pertvqe.ansatz import AnsatzUnit, ProductAnsatz
-    from pertvqe.perturbation import exact_ground
     from pertvqe.simulator import prepare
 
     ansatz = ProductAnsatz(
@@ -202,7 +208,7 @@ def dense_angle_oracle(model, generators, scales=np.linspace(0.01, 0.1, 10),
     for sweep in (scales, -np.asarray(scales)):
         phi = np.zeros(len(generators))
         for lam in sweep:
-            _, vec = exact_ground(model.rescaled(float(lam)))
+            _, vec = dense_ground(model.rescaled(float(lam)))
             vec = vec * (abs(vec[0]) / vec[0])
 
             def residual(x):

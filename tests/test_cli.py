@@ -251,7 +251,7 @@ def test_sweeps_sharing_an_output_stem_are_usage_error(tmp_path, capsys, sweep):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_above_dense_cap_fails_before_any_work(tmp_path, monkeypatch, capsys):
+def test_sweep_above_qubit_cap_fails_before_any_work(tmp_path, monkeypatch, capsys):
     import pertvqe.cli
 
     def forbidden(*args, **kwargs):
@@ -260,11 +260,11 @@ def test_sweep_above_dense_cap_fails_before_any_work(tmp_path, monkeypatch, caps
     monkeypatch.setattr(pertvqe.cli, "build_qca", forbidden)
     cfg = write_config(
         tmp_path,
-        model={"type": "tfim", "n_qubits": 13, "h": 1.0, "j": 0.15},
+        model={"type": "tfim", "n_qubits": 15, "h": 1.0, "j": 0.15},
         sweep={"n_p_max": 2, "j_values": [0.15], "hierarchies": [["pert", "parent"]]},
     )
     assert main(["--config", str(cfg), "sweep"]) == 2
-    assert "capped at 12 qubits" in capsys.readouterr().err
+    assert "capped at 14 qubits" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -282,14 +282,40 @@ def test_sweep_above_dense_cap_fails_before_any_work(tmp_path, monkeypatch, caps
     ("sweep", {"model": {"type": "tfim", "n_qubits": 3, "h": 1.0, "j": 0.2},
                "sweep": {"n_p_max": -1, "j_values": [0.2],
                          "hierarchies": [["pert", "hierarchy"]]}}, "n_p_max"),
+    ("hierarchy", {"model": [1]}, "model must be a JSON object"),
+    ("hierarchy", {"hierarchy": [1]}, "hierarchy must be a JSON object"),
+    ("sweep", {"sweep": [1]}, "sweep must be a JSON object"),
+    ("hierarchy", {"k_max": 2.7}, "k_max: 2.7 is not an integer"),
+    ("hierarchy", {"hierarchy": {"tie_seed": 1.5}}, "hierarchy.tie_seed: 1.5 is not"),
+    ("sweep", {"sweep": {"n_p_max": 2.5}}, "sweep.n_p_max: 2.5 is not"),
+    ("sweep", {"sweep": {"max_iterations": 10.5}}, "sweep.max_iterations: 10.5 is not"),
+    ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4.5}}, "4.5 is not an integer"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
-        "one-site-chain", "empty-loc-filter", "negative-n_p_max"])
+        "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
+        "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
+        "n_p_max-fraction", "max_iterations-fraction", "n_qubits-fraction"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--out", "x"], ["--seed", "3"]])
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, flags):
+    path = tmp_path / "config.json"
+    path.write_text("[1]")
+    assert main(["--config", str(path), *flags, "hierarchy"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config must be a JSON object, got list")
+
+
+def test_integral_float_fields_are_accepted(tmp_path):
+    cfg = write_config(tmp_path, k_max=1.0,
+                       model={"type": "tfim", "n_qubits": 4.0, "h": 1.0, "j": 0.15})
+    assert main(["--config", str(cfg), "hierarchy"]) == 0
+    assert len(json.loads((tmp_path / "out" / "hierarchy.json").read_text())) == 3
 
 
 def test_value_error_inside_a_command_propagates(tmp_path, monkeypatch):

@@ -21,7 +21,13 @@ from pertvqe.perturbation import (
     tilde_c,
 )
 
-from conftest import dyson_vector_states, fit_ground_amplitude, random_model, two_block_model
+from conftest import (
+    dense_ground,
+    dyson_vector_states,
+    fit_ground_amplitude,
+    random_model,
+    two_block_model,
+)
 
 
 # -- intermediate-normalized coefficients -------------------------------------------
@@ -206,6 +212,83 @@ def test_exact_ground_ising_limit():
 def test_exact_ground_cap():
     with pytest.raises(ValueError):
         dense_hamiltonian(tfim_chain(13, 1.0, 0.1))
+
+
+@pytest.mark.parametrize("n", [4, 10, 13, 14])
+@pytest.mark.parametrize("j", [0.15, 1.0, 6.0])
+def test_exact_ground_matches_free_fermions(n, j):
+    # Jordan-Wigner: the open chain's single-particle energies are twice the
+    # singular values of B, bidiagonal with h on the diagonal and J above it
+    b = np.diag(np.full(n, 1.0)) + np.diag(np.full(n - 1, j), 1)
+    free = -np.linalg.svd(b, compute_uv=False).sum()
+    energy, _ = exact_ground(tfim_chain(n, 1.0, j))
+    assert abs(energy - free) <= 1e-12 * abs(free)
+
+
+def _random_chain(rng, n, real):
+    """Open chain with random fields and one random two-site Pauli coupling
+    per bond; ``real`` keeps every Y count even, otherwise bond 0 is XY."""
+    pairs = [a + b for a in "XYZ" for b in "XYZ"
+             if not real or (a + b).count("Y") % 2 == 0]
+    couplings = []
+    for q in range(n - 1):
+        pair = "XY" if q == 0 and not real else pairs[rng.integers(len(pairs))]
+        op = PauliString.from_ops(n, {q: pair[0], q + 1: pair[1]})
+        couplings.append(Coupling(float(rng.uniform(-1.0, 1.0)), op))
+    fields = tuple(float(h) for h in rng.uniform(0.6, 1.6, n))
+    return HamiltonianModel(fields, tuple(couplings))
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+@pytest.mark.parametrize("real", [True, False])
+def test_exact_ground_matches_dense_diagonalization(rng, n, real):
+    for _ in range(3):
+        model = _random_chain(rng, n, real)
+        assert model.is_real == real
+        energy, vec = exact_ground(model)
+        dense_energy, dense_vec = dense_ground(model)
+        assert vec.dtype == np.complex128
+        assert abs(energy - dense_energy) <= 1e-12 * abs(dense_energy)
+        assert 1.0 - abs(np.vdot(dense_vec, vec)) < 1e-10
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        pivot = int(np.argmax(np.abs(vec)))
+        assert abs(vec[pivot].imag) < 1e-15 and vec[pivot].real > 0.0
+
+
+def _odd_parity_ground_chain():
+    # the flipped field on qubit 0 puts the ground state in the odd-parity
+    # sector, which a Lanczos start at |0> can never reach
+    ops = tuple(
+        Coupling(0.3, PauliString.from_ops(6, {q: "X", q + 1: "X"})) for q in range(5)
+    )
+    return HamiltonianModel((-1.0, 1.0, 1.0, 1.0, 1.0, 1.0), ops)
+
+
+def test_exact_ground_reaches_odd_parity_ground_state():
+    model = _odd_parity_ground_chain()
+    energy, vec = exact_ground(model)
+    dense_energy, _ = dense_ground(model)
+    assert round(dense_energy, 4) == -6.1129
+    assert abs(energy - dense_energy) <= 1e-12 * abs(dense_energy)
+    parity = np.array([(-1) ** bin(s).count("1") for s in range(vec.size)])
+    assert np.vdot(vec, parity * vec).real == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    _odd_parity_ground_chain(),
+    tfim_chain(8, 1.0, 6.0),
+    HamiltonianModel((1.0, 1.2, 0.9, 1.1), (
+        Coupling(0.4, PauliString.from_label("XYII")),
+        Coupling(-0.7, PauliString.from_label("IZXI")),
+        Coupling(0.5, PauliString.from_label("IIYY")),
+    )),
+], ids=["odd-parity", "tfim8-strong", "complex4"])
+def test_exact_ground_is_reproducible(model):
+    first_energy, first_vec = exact_ground(model)
+    for _ in range(3):
+        energy, vec = exact_ground(model)
+        assert energy == first_energy
+        assert np.array_equal(vec, first_vec)
 
 
 def test_degenerate_field_raises():
