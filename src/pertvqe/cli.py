@@ -220,8 +220,7 @@ def cmd_diagrams(cfg: RunConfig) -> int:
 
 def _sweep_task(args):
     cfg, plist, j_value = args
-    base = cfg.model.strengths[0] if cfg.model.couplings else 1.0
-    target = cfg.model.rescaled(j_value / base) if base else cfg.model
+    target = cfg.model.rescaled(j_value / cfg.model.strengths[0])
     result = hierarchy_sweep(
         target, plist, cfg.n_p_max, cfg.gtol, cfg.max_iterations,
         rng=np.random.default_rng(cfg.tie_seed or 0),
@@ -253,6 +252,8 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
             f"sweep runs on the statevector engine, capped at {QUBIT_CAP} "
             f"qubits; the model has {cfg.model.n_qubits}"
         )
+    if not cfg.model.couplings or cfg.model.strengths[0] == 0.0:
+        raise ConfigError("sweep rescales coupling 0 to each j_value; it must be nonzero")
     plists = _sweep_lists(cfg)
     tasks = [
         (cfg, plists[mode, ordering], j)

@@ -215,9 +215,11 @@ class MultiIndex(tuple):
     __slots__ = ()
 
     def __new__(cls, counts: Iterable[int]):
-        vals = tuple(int(c) for c in counts)
-        if any(c < 0 for c in vals):
-            raise ValueError("multi-index entries must be non-negative")
+        counts = tuple(counts)
+        vals = tuple(map(int, counts))
+        if vals != counts or min(vals, default=0) < 0:
+            raise ValueError(
+                f"multi-index entries must be non-negative integers, got {counts}")
         return super().__new__(cls, vals)
 
     @classmethod

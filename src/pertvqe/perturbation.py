@@ -17,8 +17,9 @@ phases live entirely in the Pauli bookkeeping of ``pertvqe.pauli``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Sequence
 
 import numpy as np
@@ -141,6 +142,28 @@ def tfim_chain(n_qubits: int, field: float = 1.0, coupling: float = 0.0) -> Hami
     return HamiltonianModel((float(field),) * n_qubits, ops)
 
 
+def _memoized(series):
+    """Memoize one ``CoefficientTable`` series in a dict owned by the table.
+    A tuple key and a ``MultiIndex`` with the same counts are one entry; only
+    a miss converts, and so validates, the key for the series."""
+    name = series.__name__
+
+    @wraps(series)
+    def lookup(self, k):
+        memo = self._memos[name]
+        try:
+            return memo[k]
+        except (KeyError, TypeError):  # TypeError: unhashable, such as a list
+            pass
+        k = MultiIndex(k)
+        if len(k) != len(self._ops):
+            raise ValueError("multi-index length must match coupling count")
+        value = memo[k] = series(self, k)
+        return value
+
+    return lookup
+
+
 class CoefficientTable:
     """Memoized ground-state expansion coefficients for one model.
 
@@ -148,6 +171,11 @@ class CoefficientTable:
     (unit overlap with the reference); ``normalized(k)`` folds in the
     norm series of (1 + eps)^(-1/2).  Fill is single-writer; reads after
     construction are plain dict lookups.
+
+    Each series keeps one memo keyed by multi-index.  A key is validated
+    (non-negative integral counts, one per coupling) on its first lookup,
+    when it is converted to ``MultiIndex``; later lookups of the same counts,
+    as a tuple or a ``MultiIndex``, hit the memo and construct nothing.
 
     Norm coefficients vanish off reference-returning indices (V^{.k}|0>
     proportional to |0>), so the normalization sums run over those alone.
@@ -158,27 +186,19 @@ class CoefficientTable:
         self.max_order = max_order
         self._ops = model.operators
         self._e0 = unperturbed_energy(0, model.fields)
-        self._tilde: dict[MultiIndex, float] = {}
-        self._z: dict[MultiIndex, float] = {}
-        self._norm: dict[MultiIndex, float] = {}
-        self._c: dict[MultiIndex, float] = {}
-        self._power: dict[MultiIndex, PauliString] = {}
+        self._memos: defaultdict[str, dict[MultiIndex, object]] = defaultdict(dict)
 
     # -- pauli bookkeeping, memoized ----------------------------------------
+    @_memoized
     def power(self, k: Sequence[int]) -> PauliString:
-        k = MultiIndex(k)
-        got = self._power.get(k)
-        if got is None:
-            got = pauli_power(k, self._ops)
-            self._power[k] = got
-        return got
+        return pauli_power(k, self._ops)
 
     def state_phase(self, k: Sequence[int]) -> tuple[int, int]:
         return self.power(k).apply_to_basis(0)
 
     def relative_sign(self, k: Sequence[int], kp: Sequence[int]) -> int:
         left = self.power(k) * self.power(kp)
-        merged = self.power(MultiIndex(k).add(kp))
+        merged = self.power(tuple(a + b for a, b in zip(k, kp, strict=True)))
         diff = (left.phase_exp - merged.phase_exp) % 4
         return 1 if diff == 0 else -1
 
@@ -187,26 +207,18 @@ class CoefficientTable:
         return [kp for kp in k.sub_indices() if self.state_phase(kp)[0] == 0]
 
     # -- intermediate-normalized coefficients --------------------------------
+    @_memoized
     def tilde(self, k: Sequence[int]) -> float:
-        k = MultiIndex(k)
-        got = self._tilde.get(k)
-        if got is not None:
-            return got
         if k.order == 0:
-            value = 1.0
-        else:
-            state, _ = self.state_phase(k)
-            if state == 0:
-                value = 0.0
-            else:
-                value = self._tilde_recursion(k, state)
-        self._tilde[k] = value
-        return value
-
-    def _tilde_recursion(self, k: MultiIndex, state: int) -> float:
+            return 1.0
+        state, _ = self.state_phase(k)
+        if state == 0:
+            return 0.0
         gap = self._e0 - unperturbed_energy(state, self.model.fields)
         if abs(gap) < _DEGENERACY_TOL:
             raise DegeneracyError(state, self.model.n_qubits)
+        # k reaches ``state`` != 0, so k itself is not among its references
+        refs = self._references(k)
         n_c = len(k)
         total = 0.0
         for beta in range(n_c):
@@ -215,27 +227,23 @@ class CoefficientTable:
             delta = MultiIndex.delta(n_c, beta)
             k_minus = k.sub(delta)
             total += self.tilde(k_minus) * self.relative_sign(delta, k_minus)
-            for kp in k.sub_indices():
-                if kp == k or kp[beta] == 0:
+            for kp in refs:
+                if kp[beta] == 0:
                     continue
-                if self.state_phase(kp)[0] != 0:
-                    continue
+                lower, rest = kp.sub(delta), k.sub(kp)
                 total -= (
-                    self.tilde(kp.sub(delta))
-                    * self.tilde(k.sub(kp))
-                    * self.relative_sign(delta, kp.sub(delta))
-                    * self.relative_sign(k.sub(kp), kp)
+                    self.tilde(lower)
+                    * self.tilde(rest)
+                    * self.relative_sign(delta, lower)
+                    * self.relative_sign(rest, kp)
                 )
         return total / gap
 
     # -- normalization series -------------------------------------------------
+    @_memoized
     def vacuum_overlap(self, k: Sequence[int]) -> float:
         """Coefficient of J^k in <E~|E~>: pairs (k', k'') with k'+k'' = k and
         matching reached states; the i-phase difference reduces to 0 or +-1."""
-        k = MultiIndex(k)
-        got = self._z.get(k)
-        if got is not None:
-            return got
         total = 0.0
         for kp in k.sub_indices():
             kpp = k.sub(kp)
@@ -249,47 +257,37 @@ class CoefficientTable:
             elif diff == 2:
                 total -= self.tilde(kp) * self.tilde(kpp)
             # odd differences cancel pairwise under kp <-> kpp
-        self._z[k] = total
         return total
 
+    @_memoized
     def norm_coefficient(self, k: Sequence[int]) -> float:
         """Taylor coefficient of (1 + eps)^(-1/2) at J^k, from N^2 Z = 1.
 
         N and Z vanish off reference-returning indices, so a, b and
         c = k - a - b run over those alone."""
-        k = MultiIndex(k)
-        got = self._norm.get(k)
-        if got is not None:
-            return got
         if k.order == 0:
-            value = 1.0
-        elif self.state_phase(k)[0] != 0:
-            value = 0.0
-        else:
-            refs = self._references(k)
-            total = 0.0
-            for a in refs:
-                if a == k:
+            return 1.0
+        if self.state_phase(k)[0] != 0:
+            return 0.0
+        refs = self._references(k)
+        total = 0.0
+        for a in refs:
+            if a == k:
+                continue
+            rem = k.sub(a)
+            for b in refs:
+                if b == k or not rem.dominates(b):
                     continue
-                rem = k.sub(a)
-                for b in refs:
-                    if b == k or not rem.dominates(b):
-                        continue
-                    total += (
-                        self.norm_coefficient(a)
-                        * self.norm_coefficient(b)
-                        * self.vacuum_overlap(rem.sub(b))
-                    )
-            value = -0.5 * total
-        self._norm[k] = value
-        return value
+                total += (
+                    self.norm_coefficient(a)
+                    * self.norm_coefficient(b)
+                    * self.vacuum_overlap(rem.sub(b))
+                )
+        return -0.5 * total
 
+    @_memoized
     def normalized(self, k: Sequence[int]) -> float:
         """Coefficient C_k of the unit-norm ground state along V^{.k}|0>."""
-        k = MultiIndex(k)
-        got = self._c.get(k)
-        if got is not None:
-            return got
         _, g_k = self.state_phase(k)
         total = 0.0
         for kpp in self._references(k):
@@ -305,7 +303,6 @@ class CoefficientTable:
             if diff not in (0, 2):
                 raise AssertionError("normalization mixed incompatible phases")
             total += (1.0 if diff == 0 else -1.0) * norm * ct
-        self._c[k] = total
         return total
 
     # -- export ---------------------------------------------------------------
@@ -314,7 +311,7 @@ class CoefficientTable:
             self.tilde(k)
 
     def known(self) -> dict[MultiIndex, float]:
-        return dict(self._tilde)
+        return dict(self._memos["tilde"])
 
 
 def tilde_c(model: HamiltonianModel, k: Sequence[int]) -> float:

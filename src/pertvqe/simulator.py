@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ansatz import ProductAnsatz
-from .pauli import PauliAction, PauliString
+from .pauli import PauliString
 from .perturbation import HamiltonianModel
 
 QUBIT_CAP = 14
@@ -38,12 +38,6 @@ def basis_state(n_qubits: int, bits: int) -> np.ndarray:
     return psi
 
 
-def _action(psi: np.ndarray, op: PauliString) -> PauliAction:
-    if psi.size != 1 << op.n_qubits:
-        raise ValueError("state dimension mismatch")
-    return op.action
-
-
 def apply_pauli(psi: np.ndarray, op: PauliString) -> np.ndarray:
     return op.apply(psi)
 
@@ -53,8 +47,7 @@ def apply_rotation(
 ) -> np.ndarray:
     """exp(i * scale * theta * generator) |psi>."""
     angle = scale * theta
-    perm, phased, _ = _action(psi, generator)
-    return np.cos(angle) * psi + 1j * np.sin(angle) * (phased * psi[perm])
+    return np.cos(angle) * psi + 1j * np.sin(angle) * generator.apply(psi)
 
 
 def prepare(ansatz: ProductAnsatz, thetas) -> np.ndarray:

@@ -268,6 +268,28 @@ def test_sweep_above_qubit_cap_fails_before_any_work(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # no rescaling takes a zero coupling 0 to a j_value, so every sweep
+    # would run the J=0 model under its own j_value's file name
+    import pertvqe.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no sweep work may start")
+
+    monkeypatch.setattr(pertvqe.cli, "build_priority_list", forbidden)
+    cfg = write_config(
+        tmp_path,
+        model={"type": "tfim", "n_qubits": 3},
+        k_max=3,
+        sweep={"n_p_max": 2, "j_values": [0.15, 6.0], "hierarchies": [["pert", "hierarchy"]]},
+    )
+    assert main(["--config", str(cfg), "sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "coupling 0 to each j_value; it must be nonzero" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     ("hierarchy", {"model": {"type": "tfim", "h": 1.0}}, "missing field 'n_qubits'"),
     ("hierarchy", {"k_max": "abc"}, "k_max:"),

@@ -210,6 +210,14 @@ def test_multi_index_basics():
     assert MultiIndex.delta(3, 1) == MultiIndex((0, 1, 0))
 
 
+def test_multi_index_rejects_non_integral_entries():
+    for counts in ((1.5, 0), (0, 2.25), (np.float64(0.5),)):
+        with pytest.raises(ValueError, match="integers"):
+            MultiIndex(counts)
+    k = MultiIndex((2.0, np.int64(1), np.float64(0.0)))
+    assert k == (2, 1, 0) and all(type(c) is int for c in k)
+
+
 def test_bits_round_trip():
     assert parse_bits(format_bits(0b0110, 4)) == 0b0110
     assert format_bits(0b0110, 4) == "0110"

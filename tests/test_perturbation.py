@@ -103,6 +103,62 @@ def test_order_by_order_schroedinger(rng):
         assert np.allclose(acc, rhs, atol=1e-8)
 
 
+# -- the one memo per coefficient series ------------------------------------------------
+
+SERIES = ("power", "tilde", "vacuum_overlap", "norm_coefficient", "normalized")
+
+
+def _count_multi_index_constructions(monkeypatch):
+    # counted on the class, as the benchmark tracer counts them
+    calls = []
+    new = MultiIndex.__new__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(MultiIndex, "__new__", staticmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize("series", SERIES)
+def test_memo_hit_constructs_no_multi_index(monkeypatch, series):
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    lookup = getattr(table, series)
+    keys = [(1, 0, 1), MultiIndex((1, 0, 1)), (2, 1, 1), MultiIndex((2, 1, 1))]
+    first = [lookup(k) for k in keys]
+    calls = _count_multi_index_constructions(monkeypatch)
+    assert [lookup(k) for k in keys] == first
+    assert calls == []
+
+
+def test_tuple_and_multi_index_keys_share_one_entry():
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    value = table.tilde((1, 0, 1))
+    entries = len(table.known())
+    assert table.tilde(MultiIndex((1, 0, 1))) == value
+    assert table.tilde([1, 0, 1]) == value
+    assert len(table.known()) == entries
+
+
+def test_known_keys_are_multi_indices():
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table.tilde((1, 2, 1))
+    table.tilde([0, 1, 1])
+    assert len(table.known()) > 2
+    assert all(type(k) is MultiIndex for k in table.known())
+
+
+@pytest.mark.parametrize("series", SERIES)
+@pytest.mark.parametrize("key", [(-1, 0, 1), (1, 0), (0, 0), (1, 0, 1, 0), (1.5, 0, 0)],
+                         ids=["negative", "short", "short-zero", "long", "fraction"])
+def test_invalid_key_raises_on_first_lookup(series, key):
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table.fill()
+    with pytest.raises(ValueError):
+        getattr(table, series)(key)
+
+
 # -- normalized coefficients ----------------------------------------------------------
 
 

@@ -64,6 +64,11 @@ def test_rotation_norm_preservation(rng):
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rotation_on_wrong_size_state_raises():
+    with pytest.raises(ValueError, match="dimension"):
+        apply_rotation(zero_state(2), PauliString.from_label("XYZ"), 0.3)
+
+
 def test_prepare_zero_angles_gives_start():
     a = ProductAnsatz(
         3, (AnsatzUnit(PauliString.from_label("XYI"), 0),), start_state=0b101,
