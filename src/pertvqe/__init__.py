@@ -33,6 +33,7 @@ from .hierarchy import (
     check_matched,
     estimate_thetas,
     j_shortcut_weights,
+    qca_slot,
 )
 from .pauli import (
     MultiIndex,
@@ -72,6 +73,7 @@ from .vqe import (
     OptimizationOutcome,
     SweepResult,
     SweepRow,
+    SweepStep,
     hierarchy_sweep,
     optimize,
     sweep_thetas_json,

@@ -172,7 +172,9 @@ def build_qca(n_qubits: int) -> ProductAnsatz:
     Level n (qubit n) contributes, for every subset S of X operators on the
     earlier qubits, the two units X_n*S and Y_n*S, giving 2^n units per
     level and 2*(2^N - 1) parameters in total.  Subsets are enumerated in
-    binary counting order and the X unit precedes the Y unit.
+    binary counting order and the X unit precedes the Y unit, so the unit
+    reaching a state has a closed form, ``hierarchy.qca_slot``, which the
+    estimator uses instead of building this list.
     """
     if n_qubits < 1:
         raise ValueError("register must hold at least one qubit")

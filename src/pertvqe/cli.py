@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -97,8 +98,15 @@ class RunConfig:
             hierarchies=list(sweep.get("hierarchies", DEFAULT_HIERARCHIES)),
             out=raw.get("out", "."),
         )
+        if not isinstance(cfg.out, str):
+            raise ConfigError(f"out must be a string, got {type(cfg.out).__name__}")
         if cfg.k_max < 1:
             raise ConfigError(f"k_max must be at least 1, got {cfg.k_max}")
+        if cfg.tie_seed is not None and cfg.tie_seed < 0:
+            raise ConfigError(
+                f"hierarchy.tie_seed (--seed) must be at least 0, got {cfg.tie_seed}")
+        if not all(math.isfinite(j) for j in cfg.j_values):
+            raise ConfigError(f"sweep.j_values must be finite, got {cfg.j_values}")
         if cfg.n_p_max < 0:
             raise ConfigError(f"sweep.n_p_max must be at least 0, got {cfg.n_p_max}")
         if cfg.mode not in MODES:
@@ -177,17 +185,17 @@ def _write(path: Path, text: str) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 
-def _priority_list(cfg: RunConfig, qca, mode: str, ordering: str):
-    """``build_priority_list``; a mode filter that keeps no generator of
-    this model is a ConfigError."""
-    plist = build_priority_list(cfg.model, qca, cfg.k_max, mode, ordering, cfg.tie_seed)
+def _priority_list(cfg: RunConfig, mode: str, ordering: str):
+    """``build_priority_list`` over the closed-form parent slots; a mode
+    filter that keeps no generator of this model is a ConfigError."""
+    plist = build_priority_list(cfg.model, None, cfg.k_max, mode, ordering, cfg.tie_seed)
     if not plist.entries:
         raise ConfigError(f"no generators survive the {mode} filter")
     return plist
 
 
 def cmd_hierarchy(cfg: RunConfig) -> int:
-    plist = _priority_list(cfg, build_qca(cfg.model.n_qubits), cfg.mode, cfg.ordering)
+    plist = _priority_list(cfg, cfg.mode, cfg.ordering)
     rows = hierarchy_to_json(plist, cfg.model)
     _write(Path(cfg.out) / "hierarchy.json",
            json.dumps(rows, indent=2, sort_keys=True) + "\n")
@@ -232,12 +240,11 @@ def _sweep_task(args):
 def _sweep_lists(cfg: RunConfig) -> dict:
     """One priority list per (mode, ordering), each checked to hold
     ``n_p_max`` units before any reference or optimization runs."""
-    qca = build_qca(cfg.model.n_qubits)
     plists = {}
     for mode, ordering in cfg.hierarchies:
         if (mode, ordering) in plists:
             continue
-        plist = _priority_list(cfg, qca, mode, ordering)
+        plist = _priority_list(cfg, mode, ordering)
         try:
             plist.selection(cfg.n_p_max)
         except ValueError as exc:

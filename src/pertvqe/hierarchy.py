@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzUnit, ProductAnsatz, build_qca
+from .ansatz import AnsatzUnit, ProductAnsatz
 from .diagrams import enumerate_leading, is_disconnected_split
 from .pauli import MultiIndex, PauliString, format_bits
 from .perturbation import CoefficientTable, HamiltonianModel
@@ -102,9 +102,33 @@ def check_matched(ansatz: ProductAnsatz) -> bool:
     )
 
 
+def qca_slot(n_qubits: int, state: int, a: int) -> GeneratorSlot:
+    """The slot of ``build_qca(n_qubits)`` reaching |state> with phase class
+    a, in closed form, without building the parent.
+
+    With L the top set bit of state and low = state & (2^L - 1), the
+    generator is X on the bits of low times X (a=0) or Y (a=1) on qubit L:
+    x mask = state, z mask = a * 2^L, one Y iff a = 1.  Level L of the
+    parent starts at position 2 (2^L - 1) and holds one X, Y pair per
+    subset low in binary counting order.
+    """
+    if not 0 < state < 1 << n_qubits or a not in (0, 1):
+        raise ValueError(f"no parent slot reaches ({state}, {a})")
+    top = state.bit_length() - 1
+    low = state & ((1 << top) - 1)
+    generator = PauliString(n_qubits, state, a << top, a)
+    return GeneratorSlot(state, a, generator, 2 * ((1 << top) - 1 + low) + a)
+
+
 class ThetaEstimator:
-    """Fixes per-diagram angles for a generating, matched ansatz and exposes
-    the contribution formula for arbitrary multi-indices.
+    """Fixes per-diagram angles on the slots of the layered parent ansatz
+    (``build_qca``) and exposes the contribution formula for arbitrary
+    multi-indices.
+
+    Slots come from the closed form ``qca_slot``; the parent is never
+    built.  ``ansatz`` may be None, or the parent itself, which is then
+    checked: matched, of the parent's size, and holding each used slot's
+    generator at its parent position.  ``slots`` holds the used slots.
 
     ``_fixed`` lists (k, theta, slot) for every connected index k with a
     non-reference target below some leading index, in ascending order: the
@@ -112,33 +136,25 @@ class ThetaEstimator:
     whose angles only enter the back-action of higher orders.
     """
 
-    def __init__(self, model: HamiltonianModel, ansatz: ProductAnsatz, k_max: int):
-        if ansatz.n_qubits != model.n_qubits:
-            raise ValueError("ansatz and model qubit counts differ")
-        report = check_generating(ansatz)
-        if not report.complete:
-            raise ValueError(
-                f"ansatz is not generating ({len(report.missing)} slots missing)"
-            )
-        if not check_matched(ansatz):
-            raise ValueError(
-                "ansatz is not matched; estimates would need disconnected "
-                "bookkeeping this construction avoids"
-            )
+    def __init__(
+        self, model: HamiltonianModel, ansatz: ProductAnsatz | None, k_max: int
+    ):
         self.model = model
-        self.ansatz = ansatz
         self.k_max = k_max
-        self.slots = report.slots
+        self.slots: dict[tuple[int, int], GeneratorSlot] = {}
         self.table = CoefficientTable(model, k_max)
         self.leading = enumerate_leading(model, k_max)
         self._fixed: list[tuple[MultiIndex, float, GeneratorSlot]] = []
-        self._run()
+        self._run(ansatz)
 
     # -- slot helpers --------------------------------------------------------
     def slot_for(self, k: Sequence[int]) -> GeneratorSlot:
         state, gamma = self.table.state_phase(k)
-        a = (gamma + 1) % 2
-        return self.slots[(state, a)]
+        key = (state, (gamma + 1) % 2)
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = qca_slot(self.model.n_qubits, *key)
+        return slot
 
     @staticmethod
     def _sign(gamma: int) -> float:
@@ -146,7 +162,7 @@ class ThetaEstimator:
         return 1.0 if (gamma + 1) % 4 in (0, 1) else -1.0
 
     # -- core ------------------------------------------------------------------
-    def _run(self) -> None:
+    def _run(self, ansatz: ProductAnsatz | None) -> None:
         down: set[MultiIndex] = set()
         for group in self.leading.values():
             for k in group:
@@ -159,6 +175,9 @@ class ThetaEstimator:
             ),
             key=lambda k: (k.order, tuple(k)),
         )
+        slots = [self.slot_for(k) for k in ks]
+        if ansatz is not None:
+            _check_parent(ansatz, self.model.n_qubits, self.slots.values())
         series = _ProductSeries(self, down, ks)
         thetas = [0.0] * len(ks)
         for _, same_order in groupby(range(len(ks)), key=lambda i: ks[i].order):
@@ -167,7 +186,7 @@ class ThetaEstimator:
             back = series.coefficients(thetas)
             for i in same_order:
                 thetas[i] = self._theta_for(ks[i], back.get(ks[i], 0.0))
-                self._fixed.append((ks[i], thetas[i], self.slot_for(ks[i])))
+                self._fixed.append((ks[i], thetas[i], slots[i]))
         self._down = down
         self._series = series
 
@@ -197,13 +216,12 @@ class ThetaEstimator:
         """One estimate per slot with a leading diagram: the summed angles of
         its leading indices."""
         leading = {k for group in self.leading.values() for k in group}
-        by_slot: dict[tuple[int, int], list[tuple[MultiIndex, float]]] = {}
+        by_slot: dict[GeneratorSlot, list[tuple[MultiIndex, float]]] = {}
         for k, theta, slot in self._fixed:
             if k in leading:
-                by_slot.setdefault((slot.state, slot.a), []).append((k, theta))
+                by_slot.setdefault(slot, []).append((k, theta))
         out = []
-        for (state, a), entries in by_slot.items():
-            slot = self.slots[(state, a)]
+        for slot, entries in by_slot.items():
             ks = tuple(sorted(k for k, _ in entries))
             theta = sum(theta for _, theta in entries)
             weight = sum(self.model.coupling_monomial(k) for k in ks)
@@ -316,8 +334,30 @@ def _multisets(items: list[tuple[int, MultiIndex]], down: set) -> dict:
     return out
 
 
+def _check_parent(ansatz: ProductAnsatz, n_qubits: int, slots) -> None:
+    """Raise unless ``ansatz`` is matched, has the parent's size, and holds
+    each of ``slots``' generators at its parent position: O(len(slots)),
+    not a scan of the 2^n states."""
+    if ansatz.n_qubits != n_qubits:
+        raise ValueError("ansatz and model qubit counts differ")
+    if not check_matched(ansatz):
+        raise ValueError(
+            "ansatz is not matched; estimates would need disconnected "
+            "bookkeeping this construction avoids"
+        )
+    if ansatz.start_state != 0 or ansatz.n_units != 2 * ((1 << n_qubits) - 1):
+        raise ValueError("ansatz is not the layered parent build_qca builds")
+    for slot in slots:
+        unit = ansatz.units[slot.parent_position]
+        if unit.generator != slot.generator or unit.scale != 1.0:
+            raise ValueError(
+                f"ansatz is not the layered parent build_qca builds: unit "
+                f"{slot.parent_position} is not {slot.generator.to_label()}"
+            )
+
+
 def estimate_thetas(
-    model: HamiltonianModel, ansatz: ProductAnsatz, k_max: int
+    model: HamiltonianModel, ansatz: ProductAnsatz | None, k_max: int
 ) -> list[ThetaEstimate]:
     return ThetaEstimator(model, ansatz, k_max).estimates()
 
@@ -331,8 +371,8 @@ def duplication_defect(
     largest change of a ``single`` angle lifted onto either copy (inf if the
     lifted index has none) and the number of estimates on slots acting on
     both copies; both are zero for a size-extensive construction."""
-    est_single = ThetaEstimator(single, build_qca(single.n_qubits), 4)
-    est_double = ThetaEstimator(doubled, build_qca(doubled.n_qubits), 4)
+    est_single = ThetaEstimator(single, None, 4)
+    est_double = ThetaEstimator(doubled, None, 4)
     doubles = {tuple(k): v for k, v, _ in est_double._fixed}
     pad = (0,) * single.n_couplings
     worst = 0.0
@@ -408,7 +448,7 @@ def _is_nearest_neighbour_pair(generator: PauliString) -> bool:
 
 def build_priority_list(
     model: HamiltonianModel,
-    ansatz: ProductAnsatz,
+    ansatz: ProductAnsatz | None,
     k_max: int,
     mode: str = "pert",
     ordering: str = "hierarchy",

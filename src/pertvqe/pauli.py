@@ -226,19 +226,32 @@ class MultiIndex(tuple):
     def zero(cls, n: int) -> "MultiIndex":
         return cls((0,) * n)
 
+    # The arithmetic below builds results with tuple.__new__: sums of valid
+    # indices are valid, so only a difference needs its (cheap) sign check.
     @classmethod
     def delta(cls, n: int, beta: int) -> "MultiIndex":
-        return cls(tuple(1 if i == beta else 0 for i in range(n)))
+        return tuple.__new__(cls, [1 if i == beta else 0 for i in range(n)])
 
     @property
     def order(self) -> int:
         return sum(self)
 
     def add(self, other: Sequence[int]) -> "MultiIndex":
-        return MultiIndex(a + b for a, b in zip(self, other, strict=True))
+        return tuple.__new__(
+            MultiIndex, [a + b for a, b in zip(self, other, strict=True)])
 
     def sub(self, other: Sequence[int]) -> "MultiIndex":
-        return MultiIndex(a - b for a, b in zip(self, other, strict=True))
+        vals = [a - b for a, b in zip(self, other, strict=True)]
+        if min(vals, default=0) < 0:
+            raise ValueError(f"{tuple(other)} is not dominated by {tuple(self)}")
+        return tuple.__new__(MultiIndex, vals)
+
+    def decrement(self, beta: int) -> "MultiIndex":
+        """self minus the unit index at coupling ``beta``."""
+        if self[beta] == 0:
+            raise ValueError(f"entry {beta} of {tuple(self)} is already zero")
+        return tuple.__new__(
+            MultiIndex, self[:beta] + (self[beta] - 1,) + self[beta + 1:])
 
     def dominates(self, other: Sequence[int]) -> bool:
         """Componentwise >=; with inequality somewhere this is the partial

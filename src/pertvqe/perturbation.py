@@ -186,6 +186,8 @@ class CoefficientTable:
         self.max_order = max_order
         self._ops = model.operators
         self._e0 = unperturbed_energy(0, model.fields)
+        n_c = len(self._ops)
+        self._deltas = [MultiIndex.delta(n_c, b) for b in range(n_c)]
         self._memos: defaultdict[str, dict[MultiIndex, object]] = defaultdict(dict)
 
     # -- pauli bookkeeping, memoized ----------------------------------------
@@ -194,12 +196,16 @@ class CoefficientTable:
         return pauli_power(k, self._ops)
 
     def state_phase(self, k: Sequence[int]) -> tuple[int, int]:
-        return self.power(k).apply_to_basis(0)
+        # V^{.k}|0> = i^p |x>: no Z factor acts on the all-zeros state
+        power = self.power(k)
+        return power.x_mask, power.phase_exp
 
     def relative_sign(self, k: Sequence[int], kp: Sequence[int]) -> int:
-        left = self.power(k) * self.power(kp)
+        left, right = self.power(k), self.power(kp)
         merged = self.power(tuple(a + b for a, b in zip(k, kp, strict=True)))
-        diff = (left.phase_exp - merged.phase_exp) % 4
+        # the phase of left * right (PauliString.__mul__), on the masks alone
+        diff = (left.phase_exp + right.phase_exp - merged.phase_exp
+                + 2 * (left.z_mask & right.x_mask).bit_count()) % 4
         return 1 if diff == 0 else -1
 
     def _references(self, k: MultiIndex) -> list[MultiIndex]:
@@ -219,18 +225,17 @@ class CoefficientTable:
             raise DegeneracyError(state, self.model.n_qubits)
         # k reaches ``state`` != 0, so k itself is not among its references
         refs = self._references(k)
-        n_c = len(k)
         total = 0.0
-        for beta in range(n_c):
+        for beta in range(len(k)):
             if k[beta] == 0:
                 continue
-            delta = MultiIndex.delta(n_c, beta)
-            k_minus = k.sub(delta)
+            delta = self._deltas[beta]
+            k_minus = k.decrement(beta)
             total += self.tilde(k_minus) * self.relative_sign(delta, k_minus)
             for kp in refs:
                 if kp[beta] == 0:
                     continue
-                lower, rest = kp.sub(delta), k.sub(kp)
+                lower, rest = kp.decrement(beta), k.sub(kp)
                 total -= (
                     self.tilde(lower)
                     * self.tilde(rest)

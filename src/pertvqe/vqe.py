@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,12 @@ class OptimizationOutcome:
     energy: float
     iterations: int
     converged: bool
+    # objective evaluations and perturbed reruns spent, which run gave the
+    # kept result (0: the given start, r: rerun r) and its stop message
+    evaluations: int = 0
+    reruns: int = 0
+    attempt: int = 0
+    message: str = ""
 
 
 def optimize(
@@ -44,8 +51,11 @@ def optimize(
         return OptimizationOutcome(np.zeros(0), e, 0, True)
     if rng is None:
         rng = np.random.default_rng(0)
+    evaluations = 0
 
     def objective(theta):
+        nonlocal evaluations
+        evaluations += 1
         value, grad = energy_and_gradient(ansatz, theta, model)
         if not np.isfinite(value):
             raise FloatingPointError("non-finite variational energy")
@@ -65,7 +75,8 @@ def optimize(
         total_iters += int(res.nit)
         grad_norm = float(np.max(np.abs(res.jac)))
         cand = OptimizationOutcome(
-            np.asarray(res.x), float(res.fun), total_iters, grad_norm <= gtol
+            np.asarray(res.x), float(res.fun), total_iters, grad_norm <= gtol,
+            attempt=attempt, message=str(res.message),
         )
         if best is None or cand.energy < best.energy:
             best = cand
@@ -75,8 +86,9 @@ def optimize(
     # Never report worse than the warm start itself.
     e_start = energy(prepare(ansatz, theta0), model)
     if e_start < best.energy:
-        best = OptimizationOutcome(theta0, e_start, total_iters, best.converged)
-    return best
+        best = replace(best, theta=theta0, energy=e_start, iterations=total_iters,
+                       attempt=0, message="start kept: no run went below it")
+    return replace(best, evaluations=evaluations, reruns=attempt)
 
 
 @dataclass(frozen=True)
@@ -89,11 +101,30 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
+class SweepStep:
+    """How one sweep step reached its energy.  ``evaluations`` (objective
+    calls) and ``reruns`` sum over the warm start and the random starts;
+    the rest describe the kept result, whose ``iterations`` the CSV also
+    reports.  ``start`` is "warm", "rerun r" (the warm start's r-th
+    perturbed rerun) or "random i"."""
+
+    n_params: int
+    evaluations: int
+    iterations: int
+    reruns: int
+    converged: bool
+    message: str
+    start: str
+    seconds: float
+
+
+@dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
     reference_energy: float
     # "complete", or the unit count the sweep stopped at and why
     stop_reason: str = "complete"
+    steps: tuple[SweepStep, ...] = ()
 
 
 def hierarchy_sweep(
@@ -128,28 +159,38 @@ def hierarchy_sweep(
     e_bare = energy(basis_state(model.n_qubits, 0), model)
     rows = [SweepRow(0, e_bare, eps(e_bare), (), 0)]
     theta = np.zeros(0)
+    steps = []
     stop_reason = "complete"
     for n in range(1, n_p_max + 1):
         ansatz = plist.build_ansatz(n)
+        began = time.perf_counter()
         try:
-            best = optimize(ansatz, model, np.append(theta, 0.0), gtol,
-                            max_iterations, rng=rng)
-            for _ in range(multistarts):
-                trial = optimize(
+            runs = [optimize(ansatz, model, np.append(theta, 0.0), gtol,
+                             max_iterations, rng=rng)]
+            best, start = runs[0], "warm"
+            for i in range(multistarts):
+                runs.append(optimize(
                     ansatz, model, rng.uniform(-np.pi / 2, np.pi / 2, n),
                     gtol, max_iterations, restarts=0, rng=rng,
-                )
-                if trial.energy < best.energy:
-                    best = trial
+                ))
+                if runs[-1].energy < best.energy:
+                    best, start = runs[-1], f"random {i}"
         except FloatingPointError as exc:
             stop_reason = f"stopped at {n} units: {exc}"
             break
+        if start == "warm" and best.attempt:
+            start = f"rerun {best.attempt}"
         theta = best.theta
         rows.append(
             SweepRow(n, best.energy, eps(best.energy), tuple(theta),
                      best.iterations)
         )
-    return SweepResult(tuple(rows), e_ref, stop_reason)
+        steps.append(SweepStep(
+            n, sum(r.evaluations for r in runs), best.iterations,
+            sum(r.reruns for r in runs), best.converged, best.message, start,
+            time.perf_counter() - began,
+        ))
+    return SweepResult(tuple(rows), e_ref, stop_reason, tuple(steps))
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -166,5 +207,6 @@ def sweep_thetas_json(result: SweepResult) -> str:
         "reference_energy": result.reference_energy,
         "stop_reason": result.stop_reason,
         "theta_star": {str(row.n_params): list(row.theta) for row in result.rows},
+        "steps": [asdict(step) for step in result.steps],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

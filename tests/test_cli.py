@@ -312,16 +312,55 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
     ("sweep", {"sweep": {"n_p_max": 2.5}}, "sweep.n_p_max: 2.5 is not"),
     ("sweep", {"sweep": {"max_iterations": 10.5}}, "sweep.max_iterations: 10.5 is not"),
     ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4.5}}, "4.5 is not an integer"),
+    ("hierarchy", {"hierarchy": {"tie_seed": -1}}, "tie_seed (--seed) must be at least 0"),
+    ("hierarchy", {"out": 5}, "out must be a string, got int"),
+    ("sweep", {"sweep": {"j_values": [float("nan")]}}, "sweep.j_values must be finite"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
         "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
         "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
-        "n_p_max-fraction", "max_iterations-fraction", "n_qubits-fraction"])
+        "n_p_max-fraction", "max_iterations-fraction", "n_qubits-fraction",
+        "tie_seed-negative", "out-number", "j_values-nan"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_is_usage_error(tmp_path, monkeypatch, capsys):
+    import pertvqe.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no estimator work may start")
+
+    monkeypatch.setattr(pertvqe.cli, "build_priority_list", forbidden)
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "--seed", "-1", "hierarchy"]) == 2
+    assert "tie_seed (--seed) must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_hierarchy_on_32_qubits_never_builds_the_parent(tmp_path, monkeypatch):
+    import pertvqe.ansatz
+    import pertvqe.cli
+    import pertvqe.hierarchy
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the 2^n parent may not be built or scanned")
+
+    monkeypatch.setattr(pertvqe.cli, "build_qca", forbidden)
+    monkeypatch.setattr(pertvqe.ansatz, "build_qca", forbidden)
+    monkeypatch.setattr(pertvqe.hierarchy, "check_generating", forbidden)
+    h, j = 1.0, 0.15
+    cfg = write_config(tmp_path, k_max=3,
+                       model={"type": "tfim", "n_qubits": 32, "h": h, "j": j})
+    assert main(["--config", str(cfg), "hierarchy"]) == 0
+    rows = json.loads((tmp_path / "out" / "hierarchy.json").read_text())
+    first = [r for r in rows if len(r["leading_ks"]) == 1 and sum(r["leading_ks"][0]) == 1]
+    assert sorted(r["leading_ks"][0].index(1) for r in first) == list(range(31))
+    for r in first:
+        assert abs(r["theta_tilde"]) == pytest.approx(j / (2 * (h + h)), rel=1e-12)
 
 
 @pytest.mark.parametrize("flags", [[], ["--out", "x"], ["--seed", "3"]])

@@ -15,6 +15,7 @@ from pertvqe.hierarchy import (
     estimate_thetas,
     hierarchy_to_json,
     j_shortcut_weights,
+    qca_slot,
 )
 from pertvqe.pauli import MultiIndex, PauliString, format_bits
 from pertvqe.perturbation import Coupling, HamiltonianModel, tfim_chain
@@ -67,6 +68,29 @@ def test_estimator_refuses_unmatched():
     a = ProductAnsatz(2, tuple(units), 0, 7)
     with pytest.raises(ValueError, match="matched"):
         ThetaEstimator(tfim_chain(2, 1.0, 0.1), a, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_slots_equal_the_scanned_parent(n):
+    report = check_generating(build_qca(n))
+    assert {key: qca_slot(n, *key) for key in report.slots} == report.slots
+    with pytest.raises(ValueError):
+        qca_slot(n, 1 << n, 0)
+
+
+def test_estimator_refuses_an_ansatz_other_than_the_parent():
+    model = tfim_chain(3, 1.0, 0.1)
+    qca = build_qca(3)
+    # same generators with the X and Y units of slot |110> swapped: matched
+    # and complete, but the Y unit the order-1 angle needs is out of place
+    units = list(qca.units)
+    units[4], units[5] = units[5], units[4]
+    swapped = ProductAnsatz(3, tuple(units), 0, qca.num_params)
+    pruned = ProductAnsatz(3, qca.units[:-1], 0, qca.num_params)
+    for ansatz in (swapped, pruned, build_qca(4)):
+        with pytest.raises(ValueError):
+            ThetaEstimator(model, ansatz, 2)
+    assert estimate_thetas(model, qca, 2) == estimate_thetas(model, None, 2)
 
 
 # -- angle estimates -----------------------------------------------------------------------
@@ -229,6 +253,15 @@ def test_size_extensive_duplication():
     assert worst <= 1e-10 and cross == 0
     est_double = ThetaEstimator(doubled, build_qca(8), 4)
     assert not any(any(k[:3]) and any(k[3:]) for k, _, _ in est_double._fixed)
+
+
+def test_eight_site_chain_doubled_to_sixteen_qubits_is_size_extensive():
+    single = tfim_chain(8, 1.0, 0.3)
+    doubled = HamiltonianModel((1.0,) * 16, tuple(
+        Coupling(0.3, PauliString.from_ops(16, {q: "X", q + 1: "X"}))
+        for q in (*range(7), *range(8, 15))
+    ))
+    assert duplication_defect(single, doubled) == (pytest.approx(0.0, abs=1e-10), 0)
 
 
 def test_duplication_defect_reports_unequal_copies_and_a_bridge():

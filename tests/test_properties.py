@@ -1,6 +1,7 @@
-"""Property tests of the compiled Pauli action, of the real and complex
-paths of the adjoint gradient against independent dense oracles, and of
-parameter removal and fixing on layered ansatzes."""
+"""Property tests of the compiled Pauli action, of multi-index arithmetic
+against the validating constructor, of the real and complex paths of the
+adjoint gradient against independent dense oracles, and of parameter
+removal and fixing on layered ansatzes."""
 
 from unittest import mock
 
@@ -15,7 +16,9 @@ from pertvqe.ansatz import (
     fix_parameter,
     remove_parameter,
 )
-from pertvqe.pauli import PauliString
+import pytest
+
+from pertvqe.pauli import MultiIndex, PauliString
 from pertvqe.perturbation import Coupling, HamiltonianModel
 from pertvqe.simulator import (
     apply_pauli,
@@ -153,6 +156,34 @@ def test_compiled_action_is_bit_identical_to_scatter(op, seed):
     dim = 1 << op.n_qubits
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     assert np.array_equal(apply_pauli(psi, op), scatter_apply(psi, op))
+
+
+def index_pairs():
+    """Two multi-indices of one length, entries 0..4."""
+    return st.integers(1, 6).flatmap(lambda n: st.tuples(
+        *(st.lists(st.integers(0, 4), min_size=n, max_size=n) for _ in range(2))))
+
+
+@PROPERTY
+@given(index_pairs())
+def test_multi_index_arithmetic_matches_validated_construction(pair):
+    a, b = pair
+    k = MultiIndex(a)
+    total = k.add(b)
+    assert type(total) is MultiIndex
+    assert total == MultiIndex(x + y for x, y in zip(a, b))
+    assert total.sub(b) == k and type(total.sub(b)) is MultiIndex
+    for beta, count in enumerate(a):
+        assert MultiIndex.delta(len(a), beta) == MultiIndex(
+            1 if i == beta else 0 for i in range(len(a)))
+        if count:
+            assert k.decrement(beta) == k.sub(MultiIndex.delta(len(a), beta))
+        else:
+            with pytest.raises(ValueError):
+                k.decrement(beta)
+    if not k.dominates(b):
+        with pytest.raises(ValueError, match="not dominated"):
+            k.sub(b)
 
 
 @PROPERTY

@@ -127,6 +127,29 @@ def test_sweep_csv_and_theta_export():
     assert len(payload["theta_star"]["2"]) == 2
 
 
+def test_sweep_steps_record_how_each_energy_was_reached(monkeypatch):
+    model = tfim_chain(4, 1.0, 0.6)
+    plist = build_priority_list(model, None, 4)
+    calls = []
+    evaluate = pertvqe.vqe.energy_and_gradient
+
+    def counted(ansatz, theta, model):
+        calls.append(ansatz.num_params)
+        return evaluate(ansatz, theta, model)
+
+    monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", counted)
+    result = hierarchy_sweep(model, plist, 4)
+    steps = json.loads(sweep_thetas_json(result))["steps"]
+    assert [s["n_params"] for s in steps] == [1, 2, 3, 4]
+    assert [s["evaluations"] for s in steps] == [calls.count(n) for n in range(1, 5)]
+    assert [s["iterations"] for s in steps] == [row.iterations for row in result.rows[1:]]
+    for s in steps:
+        assert s["start"] == "warm" or s["start"].split()[0] in ("rerun", "random")
+        assert isinstance(s["converged"], bool) and s["message"] and s["seconds"] >= 0
+        if s["start"].startswith("rerun"):
+            assert 1 <= int(s["start"].split()[1]) <= s["reruns"]
+
+
 def test_sweep_records_why_it_stopped(monkeypatch):
     model = tfim_chain(4, 1.0, 0.2)
     plist = build_priority_list(model, build_qca(4), 4)
