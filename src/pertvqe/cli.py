@@ -95,7 +95,7 @@ class RunConfig:
             gtol=_convert(float, sweep, "gtol", 1e-9, "sweep."),
             max_iterations=_convert(_integer, sweep, "max_iterations", 2000, "sweep."),
             j_values=_convert(float, sweep, "j_values", [0.15, 6.0, 1.0], "sweep."),
-            hierarchies=list(sweep.get("hierarchies", DEFAULT_HIERARCHIES)),
+            hierarchies=_convert(list, sweep, "hierarchies", DEFAULT_HIERARCHIES, "sweep."),
             out=raw.get("out", "."),
         )
         if not isinstance(cfg.out, str):
@@ -109,6 +109,11 @@ class RunConfig:
             raise ConfigError(f"sweep.j_values must be finite, got {cfg.j_values}")
         if cfg.n_p_max < 0:
             raise ConfigError(f"sweep.n_p_max must be at least 0, got {cfg.n_p_max}")
+        if not (math.isfinite(cfg.gtol) and cfg.gtol > 0):
+            raise ConfigError(f"sweep.gtol must be finite and positive, got {cfg.gtol}")
+        if cfg.max_iterations < 1:
+            raise ConfigError(
+                f"sweep.max_iterations must be at least 1, got {cfg.max_iterations}")
         if cfg.mode not in MODES:
             raise ConfigError(f"unknown hierarchy mode {cfg.mode!r}")
         if cfg.ordering not in ORDERINGS:

@@ -315,11 +315,16 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
     ("hierarchy", {"hierarchy": {"tie_seed": -1}}, "tie_seed (--seed) must be at least 0"),
     ("hierarchy", {"out": 5}, "out must be a string, got int"),
     ("sweep", {"sweep": {"j_values": [float("nan")]}}, "sweep.j_values must be finite"),
+    ("sweep", {"sweep": {"gtol": "nan"}}, "sweep.gtol must be finite and positive"),
+    ("sweep", {"sweep": {"gtol": -1}}, "sweep.gtol must be finite and positive"),
+    ("sweep", {"sweep": {"max_iterations": 0}}, "sweep.max_iterations must be at least 1"),
+    ("sweep", {"sweep": {"hierarchies": [5]}}, "sweep.hierarchies:"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
         "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
         "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
         "n_p_max-fraction", "max_iterations-fraction", "n_qubits-fraction",
-        "tie_seed-negative", "out-number", "j_values-nan"])
+        "tie_seed-negative", "out-number", "j_values-nan", "gtol-nan", "gtol-negative",
+        "max_iterations-zero", "hierarchies-entry-not-a-pair"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2

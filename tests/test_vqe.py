@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pertvqe.vqe
 from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from pertvqe.hierarchy import build_priority_list
 from pertvqe.pauli import PauliString
-from pertvqe.perturbation import HamiltonianModel, exact_ground, tfim_chain
+from pertvqe.perturbation import Coupling, HamiltonianModel, exact_ground, tfim_chain
 from pertvqe.simulator import energy, prepare, zero_state
 from pertvqe.vqe import (
+    PERTURBATIVE_ANGLE,
+    first_order_angle,
     hierarchy_sweep,
     optimize,
     sweep_thetas_json,
@@ -139,10 +142,13 @@ def test_sweep_steps_record_how_each_energy_was_reached(monkeypatch):
 
     monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", counted)
     result = hierarchy_sweep(model, plist, 4)
-    steps = json.loads(sweep_thetas_json(result))["steps"]
+    payload = json.loads(sweep_thetas_json(result))
+    steps = payload["steps"]
     assert [s["n_params"] for s in steps] == [1, 2, 3, 4]
     assert [s["evaluations"] for s in steps] == [calls.count(n) for n in range(1, 5)]
     assert [s["iterations"] for s in steps] == [row.iterations for row in result.rows[1:]]
+    assert payload["first_order_angle"] == pytest.approx(0.15)
+    assert payload["budget"] == "perturbative"
     for s in steps:
         assert s["start"] == "warm" or s["start"].split()[0] in ("rerun", "random")
         assert isinstance(s["converged"], bool) and s["message"] and s["seconds"] >= 0
@@ -167,3 +173,85 @@ def test_sweep_records_why_it_stopped(monkeypatch):
     assert result.stop_reason == "stopped at 3 units: non-finite variational energy"
     assert json.loads(sweep_thetas_json(result))["stop_reason"] == result.stop_reason
     assert sweep_to_csv(result).splitlines()[0] == "n_params,energy,epsilon,iterations"
+
+
+def test_first_order_angle_sets_the_budget():
+    assert first_order_angle(tfim_chain(8, 1.0, 0.15)) == pytest.approx(0.0375)
+    assert first_order_angle(tfim_chain(8, 1.0, 1.0)) == 0.25 == PERTURBATIVE_ANGLE
+    xx, zz = PauliString.from_label("XX"), PauliString.from_label("ZZ")
+    diagonal = HamiltonianModel((1.0, 1.0), (Coupling(0.1, xx), Coupling(0.01, zz)))
+    assert first_order_angle(diagonal) == math.inf
+    silent = HamiltonianModel((1.0, 1.5), (Coupling(0.1, xx), Coupling(0.0, zz)))
+    assert first_order_angle(silent) == pytest.approx(0.1 / 5.0)
+    assert first_order_angle(HamiltonianModel((1.0, 1.0), ())) == 0.0
+    inverted = HamiltonianModel((1.0, -1.0), (Coupling(0.1, xx),))
+    assert first_order_angle(inverted) == math.inf
+    plist = build_priority_list(tfim_chain(2, 1.0, 0.15), None, 2)
+    budgets = [
+        hierarchy_sweep(model, plist, 0).budget
+        for model in (tfim_chain(2, 1.0, 0.15), tfim_chain(2, 1.0, 1.0), diagonal)
+    ]
+    assert budgets == ["perturbative", "full", "full"]
+    assert json.loads(sweep_thetas_json(hierarchy_sweep(diagonal, plist, 0)))[
+        "first_order_angle"] is None
+
+
+def _record_optimize(monkeypatch):
+    """Replace the sweep's optimize by one that records, per call, the unit
+    count, positional and keyword budget arguments and iterations run."""
+    calls = []
+    run = pertvqe.vqe.optimize
+
+    def recorded(ansatz, model, theta0, *args, **kwargs):
+        out = run(ansatz, model, theta0, *args, **kwargs)
+        calls.append((ansatz.num_params, args, kwargs, out.iterations))
+        return out
+
+    monkeypatch.setattr(pertvqe.vqe, "optimize", recorded)
+    return calls
+
+
+def _per_step(calls, n_p_max):
+    return [[c for c in calls if c[0] == n] for n in range(1, n_p_max + 1)]
+
+
+def test_weak_sweep_runs_the_warm_start_alone(monkeypatch):
+    calls = _record_optimize(monkeypatch)
+    model = tfim_chain(4, 1.0, 0.15)
+    result = hierarchy_sweep(model, build_priority_list(model, None, 4, "pert", "parent"), 7)
+    assert result.budget == "perturbative"
+    for step in _per_step(calls, 7):
+        assert len(step) == 1
+        (_, args, kwargs, iterations), = step
+        assert args[2] == 0 and "restarts" not in kwargs and iterations > 0
+    assert all(s.reruns == 0 and s.start == "warm" for s in result.steps)
+
+
+def test_strong_sweep_keeps_the_full_budget(monkeypatch):
+    calls = _record_optimize(monkeypatch)
+    construction = tfim_chain(4, 1.0, 0.15)
+    plist = build_priority_list(construction, None, 4, "pert", "parent")
+    result = hierarchy_sweep(tfim_chain(4, 1.0, 6.0), plist, 4)
+    assert result.budget == "full" and result.first_order_angle == 1.5
+    for step in _per_step(calls, 4):
+        warm, *randoms = step
+        assert warm[1][2] == 3 and "restarts" not in warm[2]
+        assert len(randoms) == 2
+        assert all(kwargs["restarts"] == 0 for _, _, kwargs, _ in randoms)
+
+
+def test_weak_sweep_tries_random_starts_only_where_the_warm_start_is_stuck(monkeypatch):
+    calls = _record_optimize(monkeypatch)
+    construction = tfim_chain(4, 1.0, 0.15)
+    plist = build_priority_list(construction, None, 4, "rev")
+    result = hierarchy_sweep(construction, plist, 7)
+    stuck = []
+    for step in _per_step(calls, 7):
+        warm, *randoms = step
+        assert warm[1][2] == 0 and "restarts" not in warm[2]
+        stuck.append(warm[3] == 0)
+        assert len(randoms) == (2 if warm[3] == 0 else 0)
+        assert all(kwargs["restarts"] == 0 for _, _, kwargs, _ in randoms)
+    # both kinds of step occur, so the gate is exercised either way
+    assert any(stuck) and not all(stuck)
+    assert all(s.reruns == 0 for s in result.steps)
