@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 
 from .ansatz import ProductAnsatz
 from .hierarchy import PriorityList
+from .pauli import unperturbed_energy
 from .perturbation import HamiltonianModel, exact_ground
 from .simulator import basis_state, energy, energy_and_gradient, prepare
 
@@ -94,23 +95,29 @@ def optimize(
 
 # A coupling's order-1 angle |J_b| / (E_b - E_0) is 1/4 at the TFIM critical
 # point J = h.  Below it, on the paramagnetic side where the perturbation series
-# converges, perturbed reruns and random starts lowered the final relative error
-# of n=8 TFIM sweeps (six hierarchies, J = 0.15, 0.5, 0.8) by at most 1.4e-4;
-# from J = 1 up they lower that of the rev hierarchy by 0.03 to 0.24.
+# converges, the warm start alone misses the full budget's final relative error
+# only where a warm run stalls: 60x at n=8, J = 0.15 on the 2loc hierarchy,
+# 1.7x at J = 0.5 on loc.  Sweeps whose warm runs never stall end within a
+# factor 1.0003 of it.  From J = 3 (angle 3/4) up the extra starts win steps
+# on at least five of the six hierarchies.
 PERTURBATIVE_ANGLE = 0.25
+# A warm run that ends within this many L-BFGS-B iterations stalled at its
+# start: the new unit's gradient vanishes there, or the line search fails.
+STALL_ITERATIONS = 2
 
 
 def first_order_angle(model: HamiltonianModel) -> float:
     """The largest order-1 angle |J_b| / (E_b - E_0) over the nonzero
-    couplings, where E_b - E_0 = 2 sum of the fields that V_b flips on |0>.
-    Infinite when a nonzero coupling is diagonal on |0> or has a
-    non-positive gap: the series gives no small angle there."""
+    couplings, with E_b the unperturbed energy of V_b|0>.  Infinite when
+    a nonzero coupling is diagonal on |0> or has a non-positive gap: the
+    series gives no small angle there."""
+    e0 = unperturbed_energy(0, model.fields)
     largest = 0.0
     for c in model.couplings:
         if c.strength == 0.0:
             continue
         bits, _ = c.operator.apply_to_basis(0)
-        gap = 2.0 * sum(h for q, h in enumerate(model.fields) if bits >> q & 1)
+        gap = unperturbed_energy(bits, model.fields) - e0
         if gap <= 0.0:
             return math.inf
         largest = max(largest, abs(c.strength) / gap)
@@ -151,7 +158,7 @@ class SweepResult:
     # "complete", or the unit count the sweep stopped at and why
     stop_reason: str = "complete"
     steps: tuple[SweepStep, ...] = ()
-    # the model's first_order_angle and the optimizer budget it chose
+    # the model's first_order_angle and the optimizer budget that produced rows
     first_order_angle: float = math.inf
     budget: str = "full"
 
@@ -168,34 +175,58 @@ def hierarchy_sweep(
     """Grow the ansatz one priority-list unit at a time, warm-starting each
     optimization from the previous optimum with the new parameter at zero.
 
-    The optimizer budget follows from the model.  When its
-    ``first_order_angle`` is below ``PERTURBATIVE_ANGLE`` (weaker than the
-    TFIM critical coupling), each step runs the warm start alone, without
-    perturbed reruns; only a step whose warm run ends at iteration 0 (the
-    new unit's gradient vanishes there, so the warm run cannot use it) also
-    tries the seeded random starts.  Otherwise the warm start can lock onto
-    a secondary branch, so each step runs the warm start with up to three
+    The full budget runs, at each step, the warm start with up to three
     perturbed reruns plus ``multistarts`` seeded random starts (uniform
-    within a half rotation period) and keeps the best.  Either way the warm
-    start guarantees the error never increases with the unit count.
+    within a half rotation period) and keeps the best: once couplings are
+    strong the warm start alone can lock onto a secondary branch.  When the
+    model's ``first_order_angle`` is below ``PERTURBATIVE_ANGLE`` (weaker
+    than the TFIM critical coupling), the sweep first tries the warm start
+    alone at every step.  If one of those warm runs stalls, ending within
+    ``STALL_ITERATIONS`` iterations, the sweep starts over under the full
+    budget from the generator state it began with, so its result is the
+    full budget's bit for bit.  Either way the warm start guarantees the
+    error never increases with the unit count.
 
     Row 0 is the bare start state; the relative error is measured against
     the Lanczos ground energy of ``exact_ground``.  Optimizer failures abort
     the sweep but keep the rows already produced; ``stop_reason`` then names
     the step and the cause.  The result records the angle and the budget
-    (``"perturbative"`` or ``"full"``).
+    that produced it (``"perturbative"`` or ``"full"``).
     """
     e_ref, _ = exact_ground(model)
     if rng is None:
         rng = np.random.default_rng(1234)
+    angle = first_order_angle(model)
+    if angle < PERTURBATIVE_ANGLE:
+        state = rng.bit_generator.state
+        result = _grow(model, plist, n_p_max, gtol, max_iterations, multistarts,
+                       rng, e_ref, perturbative=True)
+        if result is not None:
+            return replace(result, first_order_angle=angle, budget="perturbative")
+        rng.bit_generator.state = state
+    result = _grow(model, plist, n_p_max, gtol, max_iterations, multistarts,
+                   rng, e_ref, perturbative=False)
+    return replace(result, first_order_angle=angle)
+
+
+def _grow(
+    model: HamiltonianModel,
+    plist: PriorityList,
+    n_p_max: int,
+    gtol: float,
+    max_iterations: int,
+    multistarts: int,
+    rng: np.random.Generator,
+    e_ref: float,
+    perturbative: bool,
+) -> SweepResult | None:
+    """The sweep under one budget; None when a perturbative warm run stalls."""
 
     def eps(value: float) -> float:
         # reference energies are negative here; normalize so the error is >= 0
         return (value - e_ref) / abs(e_ref)
 
-    angle = first_order_angle(model)
-    full = angle >= PERTURBATIVE_ANGLE
-    reruns = 3 if full else 0  # 3 is optimize's default
+    reruns = 0 if perturbative else 3  # 3 is optimize's default
     e_bare = energy(basis_state(model.n_qubits, 0), model)
     rows = [SweepRow(0, e_bare, eps(e_bare), (), 0)]
     theta = np.zeros(0)
@@ -210,9 +241,10 @@ def hierarchy_sweep(
             # budget goes in positionally.
             runs = [optimize(ansatz, model, np.append(theta, 0.0), gtol,
                              max_iterations, reruns, rng=rng)]
+            if perturbative and runs[0].iterations <= STALL_ITERATIONS:
+                return None
             best, start = runs[0], "warm"
-            tries = multistarts if full or runs[0].iterations == 0 else 0
-            for i in range(tries):
+            for i in range(0 if perturbative else multistarts):
                 runs.append(optimize(
                     ansatz, model, rng.uniform(-np.pi / 2, np.pi / 2, n),
                     gtol, max_iterations, restarts=0, rng=rng,
@@ -234,8 +266,7 @@ def hierarchy_sweep(
             sum(r.reruns for r in runs), best.converged, best.message, start,
             time.perf_counter() - began,
         ))
-    return SweepResult(tuple(rows), e_ref, stop_reason, tuple(steps), angle,
-                       "full" if full else "perturbative")
+    return SweepResult(tuple(rows), e_ref, stop_reason, tuple(steps))
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,7 +224,8 @@ def test_weak_sweep_runs_the_warm_start_alone(monkeypatch):
     for step in _per_step(calls, 7):
         assert len(step) == 1
         (_, args, kwargs, iterations), = step
-        assert args[2] == 0 and "restarts" not in kwargs and iterations > 0
+        assert args[2] == 0 and "restarts" not in kwargs
+        assert iterations > pertvqe.vqe.STALL_ITERATIONS
     assert all(s.reruns == 0 and s.start == "warm" for s in result.steps)
 
 
@@ -240,18 +242,55 @@ def test_strong_sweep_keeps_the_full_budget(monkeypatch):
         assert all(kwargs["restarts"] == 0 for _, _, kwargs, _ in randoms)
 
 
-def test_weak_sweep_tries_random_starts_only_where_the_warm_start_is_stuck(monkeypatch):
-    calls = _record_optimize(monkeypatch)
+def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
+    # rev adds units whose gradient vanishes at the warm start, so a warm run
+    # stalls; the sweep then repeats under the full budget from the same
+    # generator state and matches a sweep forced onto that budget bit for bit
     construction = tfim_chain(4, 1.0, 0.15)
     plist = build_priority_list(construction, None, 4, "rev")
-    result = hierarchy_sweep(construction, plist, 7)
-    stuck = []
-    for step in _per_step(calls, 7):
-        warm, *randoms = step
-        assert warm[1][2] == 0 and "restarts" not in warm[2]
-        stuck.append(warm[3] == 0)
-        assert len(randoms) == (2 if warm[3] == 0 else 0)
-        assert all(kwargs["restarts"] == 0 for _, _, kwargs, _ in randoms)
-    # both kinds of step occur, so the gate is exercised either way
-    assert any(stuck) and not all(stuck)
-    assert all(s.reruns == 0 for s in result.steps)
+    calls = _record_optimize(monkeypatch)
+    rng = np.random.default_rng(5)
+    result = hierarchy_sweep(construction, plist, 7, rng=rng)
+    assert result.budget == "full" and result.first_order_angle == pytest.approx(0.0375)
+    # the perturbative pass runs the warm start alone up to its first stall
+    alone = [c for c in calls if "restarts" not in c[2] and c[1][2] == 0]
+    assert calls[:len(alone)] == alone
+    stalled = [its <= pertvqe.vqe.STALL_ITERATIONS for *_, its in alone]
+    assert stalled == [False] * (len(alone) - 1) + [True]
+    # then every step makes the warm call with reruns and two random starts
+    assert [(n, args[2]) for n, args, kwargs, _ in calls[len(alone):]
+            if "restarts" not in kwargs] == [(n, 3) for n in range(1, 8)]
+    assert len(calls) == len(alone) + 7 * 3
+
+    monkeypatch.setattr(pertvqe.vqe, "PERTURBATIVE_ANGLE", 0.0)
+    forced_rng = np.random.default_rng(5)
+    forced = hierarchy_sweep(construction, plist, 7, rng=forced_rng)
+    assert forced.budget == "full"
+    assert [r.energy for r in result.rows] == [r.energy for r in forced.rows]
+    assert [r.theta for r in result.rows] == [r.theta for r in forced.rows]
+    assert [s.start for s in result.steps] == [s.start for s in forced.steps]
+    assert rng.bit_generator.state == forced_rng.bit_generator.state
+
+
+def test_stall_restart_rewinds_the_generator(monkeypatch):
+    # the warm run at unit 5 ends unconverged and draws a rerun perturbation
+    # it does not use; a stall forced at unit 6 must rewind that draw too
+    run = pertvqe.vqe.optimize
+
+    def stall_at_six(ansatz, model, theta0, *args, **kwargs):
+        out = run(ansatz, model, theta0, *args, **kwargs)
+        if ansatz.num_params == 6 and args[2:] == (0,):
+            out = replace(out, iterations=0)
+        return out
+
+    monkeypatch.setattr(pertvqe.vqe, "optimize", stall_at_six)
+    model = tfim_chain(4, 1.0, 0.15)
+    plist = build_priority_list(model, None, 4, "pert", "parent")
+    rng = np.random.default_rng(5)
+    result = hierarchy_sweep(model, plist, 7, rng=rng)
+    monkeypatch.setattr(pertvqe.vqe, "PERTURBATIVE_ANGLE", 0.0)
+    forced_rng = np.random.default_rng(5)
+    forced = hierarchy_sweep(model, plist, 7, rng=forced_rng)
+    assert result.budget == forced.budget == "full"
+    assert [r.theta for r in result.rows] == [r.theta for r in forced.rows]
+    assert rng.bit_generator.state == forced_rng.bit_generator.state
