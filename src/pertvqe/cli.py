@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -275,6 +274,8 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
     out_dir = Path(cfg.out)
     manifest = {}
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
@@ -338,6 +339,8 @@ def main(argv=None) -> int:
     sub.add_parser("sweep")
     sub.add_parser("verify")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     try:
         raw = json.loads(Path(args.config).read_text())

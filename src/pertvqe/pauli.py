@@ -173,6 +173,14 @@ class PauliString:
         p = self.phase_exp
         return PauliAction(perm, (1j**p) * sign, (1j ** (p + p % 2)).real * sign)
 
+    @cached_property
+    def rotation_factor(self) -> np.ndarray:
+        """The factor f with ``i op|psi> = f * psi[perm]``, built on first use
+        and kept with this string: the float64 ``action.real`` when i*op is
+        real (an odd Y count), else i times it."""
+        real = self.action.real
+        return real if self.phase_exp % 2 else 1j * real
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """op|psi> through the compiled action; a float64 state stays float64
         when the phase i^p is real."""

@@ -7,6 +7,8 @@ plus each coupling's compiled Pauli action, with no matrix built.  The
 simulator's energies and gradients go through it, and ``exact_ground`` runs
 Lanczos over it.  ``dense_hamiltonian`` (capped at 12 qubits) remains for
 ``series_residual``, which needs the full spectrum, and for test oracles.
+SciPy's Lanczos is imported inside ``exact_ground``, so the coefficient
+series and everything built on it run without SciPy.
 
 The Hamiltonian is  H = -sum_n h_n Z_n + sum_b J_b V_b  with Hermitian Pauli
 couplings V_b.  For positive fields the all-zeros basis state is the
@@ -20,10 +22,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .pauli import (
     MultiIndex,
@@ -209,8 +211,30 @@ class CoefficientTable:
         return 1 if diff == 0 else -1
 
     def _references(self, k: MultiIndex) -> list[MultiIndex]:
-        """Reference-returning sub-indices of k, in ``sub_indices`` order."""
-        return [kp for kp in k.sub_indices() if self.state_phase(kp)[0] == 0]
+        """Reference-returning sub-indices of k, in ``sub_indices`` order.
+
+        V_b squares to the identity, so V^{.k'}|0> is proportional to |0>
+        exactly when the x-masks of the couplings with odd k'_b XOR to zero.
+        Each such parity pattern over k's support contributes every
+        sub-index with those parities; no other sub-index is visited."""
+        support = [b for b, count in enumerate(k) if count]
+        masks = [0]  # bit i of a position: coupling support[i] has odd count
+        for b in support:
+            x = self._ops[b].x_mask
+            masks += [m ^ x for m in masks]
+        refs = []
+        for pattern, mask in enumerate(masks):
+            if mask:
+                continue
+            ranges = [range((pattern >> i) & 1, k[b] + 1, 2)
+                      for i, b in enumerate(support)]
+            for counts in product(*ranges):
+                kp = [0] * len(k)
+                for b, count in zip(support, counts):
+                    kp[b] = count
+                refs.append(tuple.__new__(MultiIndex, kp))
+        refs.sort(key=lambda kp: kp[::-1])  # colexicographic, as sub_indices
+        return refs
 
     # -- intermediate-normalized coefficients --------------------------------
     @_memoized
@@ -370,6 +394,8 @@ def exact_ground(model: HamiltonianModel) -> tuple[float, np.ndarray]:
     never leaves it, and ARPACK's own random start differs from call to
     call, so results would depend on the call history.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     dim = 1 << model.n_qubits
     dtype = np.float64 if model.is_real else np.complex128
     start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim).astype(dtype)

@@ -141,9 +141,7 @@ def energy_and_gradient(
 
 def _apply_r(psi: np.ndarray, generator: PauliString) -> np.ndarray:
     """R psi with R = i * generator: real for an odd Y count."""
-    perm, _, real = generator.action
-    out = real * psi[perm]
-    return out if generator.phase_exp % 2 else 1j * out
+    return generator.rotation_factor * psi[generator.action.perm]
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

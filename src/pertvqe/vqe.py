@@ -1,4 +1,9 @@
-"""Variational optimization and the incremental hierarchy sweep."""
+"""Variational optimization and the incremental hierarchy sweep.
+
+SciPy's optimizer is imported inside ``optimize``, the one function that
+calls it, so importing this module (and ``pertvqe.cli``) loads no SciPy;
+a sweep loads it on its first optimization.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ansatz import ProductAnsatz
 from .hierarchy import PriorityList
@@ -45,6 +49,8 @@ def optimize(
     gradients.  If the gradient norm stalls above tolerance, up to
     ``restarts`` perturbed re-runs (magnitude 0.1) keep the best result.
     """
+    from scipy.optimize import minimize
+
     theta0 = np.asarray(theta0, dtype=float)
     if not np.all(np.isfinite(theta0)):
         raise ValueError("starting parameters must be finite")

@@ -1,12 +1,12 @@
 import json
-
-
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pertvqe
 from pertvqe.cli import main
 
 
@@ -205,6 +205,56 @@ def test_console_entry_point_usage_error():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def _run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter (this one has scipy loaded) that
+    imports this pertvqe."""
+    path = [str(Path(pertvqe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+
+
+@pytest.mark.parametrize("module", ["pertvqe", "pertvqe.cli"])
+def test_import_loads_neither_scipy_nor_multiprocessing(tmp_path, module):
+    proc = _run_python(
+        f"import sys, {module}; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing')))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "diagrams"])
+def test_estimator_commands_run_without_scipy(tmp_path, command):
+    cfg = write_config(tmp_path, k_max=7,
+                       model={"type": "tfim", "n_qubits": 12, "h": 1.0, "j": 0.15})
+    proc = _run_python(
+        "import sys; sys.modules['scipy'] = None; from pertvqe.cli import main; "
+        f"sys.exit(main(['--config', {str(cfg)!r}, {command!r}]))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    written = "hierarchy.json" if command == "hierarchy" else "leading.json"
+    assert (tmp_path / "out" / written).exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, monkeypatch, capsys, jobs):
+    import pertvqe.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no sweep work may start")
+
+    monkeypatch.setattr(pertvqe.cli, "build_priority_list", forbidden)
+    monkeypatch.setattr(pertvqe.cli, "hierarchy_sweep", forbidden)
+    cfg = write_config(
+        tmp_path,
+        sweep={"n_p_max": 1, "j_values": [0.15], "hierarchies": [["pert", "parent"]]},
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), "--jobs", jobs, "sweep"])
+    assert exit_info.value.code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_list_too_short_fails_before_any_optimization(tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from pertvqe.ansatz import (
 import pytest
 
 from pertvqe.pauli import MultiIndex, PauliString
-from pertvqe.perturbation import Coupling, HamiltonianModel
+from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel
 from pertvqe.simulator import (
     apply_pauli,
     energy,
@@ -194,6 +194,38 @@ def test_pauli_products_associate_with_matrix_phases(ops):
     assert np.array_equal((a * b).to_matrix(), a.to_matrix() @ b.to_matrix())
     dense = kron_matrix(a) @ kron_matrix(b) @ kron_matrix(c)
     assert np.array_equal(((a * b) * c).to_matrix(), dense)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_references_are_the_reference_returning_sub_indices(n, n_couplings, data):
+    couplings = tuple(
+        Coupling(1.0, data.draw(labels(n, odd_y=data.draw(st.booleans()))))
+        for _ in range(n_couplings)
+    )
+    table = CoefficientTable(HamiltonianModel((1.0,) * n, couplings), 6)
+    k = MultiIndex(data.draw(st.lists(st.integers(0, 3), min_size=n_couplings,
+                                      max_size=n_couplings)))
+    scanned = [kp for kp in k.sub_indices() if table.state_phase(kp)[0] == 0]
+    assert table._references(k) == scanned
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_rotation_equals_i_times_the_real_action(n, odd_y, real, seed, data):
+    # exact equality; only the sign of a zero real or imaginary part may differ
+    generator = data.draw(labels(n, odd_y))
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(1 << n)
+    if not real:
+        psi = psi + 1j * rng.standard_normal(psi.size)
+    perm, _, signs = generator.action
+    expected = signs * psi[perm]
+    if not odd_y:
+        expected = 1j * expected
+    got = simulator._apply_r(psi, generator)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
 
 # -- real and complex adjoint paths -------------------------------------------
