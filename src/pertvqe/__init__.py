@@ -11,7 +11,6 @@ from .ansatz import (
     fix_parameter,
     gram_matrix,
     manifold_area,
-    manifold_metrics,
     remove_parameter,
     respects_conjugation,
 )
@@ -32,7 +31,6 @@ from .hierarchy import (
     check_generating,
     check_matched,
     estimate_thetas,
-    j_shortcut_weights,
     qca_slot,
 )
 from .pauli import (
@@ -52,11 +50,9 @@ from .perturbation import (
     HamiltonianModel,
     dense_hamiltonian,
     exact_ground,
-    normalized_c,
     perturbative_state,
     series_residual,
     tfim_chain,
-    tilde_c,
 )
 from .simulator import (
     apply_pauli,
@@ -70,6 +66,7 @@ from .simulator import (
     zero_state,
 )
 from .vqe import (
+    DiscardedPass,
     OptimizationOutcome,
     SweepResult,
     SweepRow,

@@ -385,17 +385,3 @@ def manifold_area(
         total += weight * np.sqrt(max(det, 0.0))
     return total / cover_multiplicity
 
-
-def manifold_metrics(
-    ansatz: ProductAnsatz,
-    theta: Sequence[float],
-    domain: Sequence[tuple[float, float]] | None = None,
-    cover_multiplicity: int = 1,
-    points_per_axis: int | Sequence[int] = 32,
-) -> tuple[np.ndarray, float | None]:
-    """Gram matrix at theta, plus the manifold area when a domain is given."""
-    gram = gram_matrix(ansatz, theta)
-    area = None
-    if domain is not None:
-        area = manifold_area(ansatz, domain, cover_multiplicity, points_per_axis)
-    return gram, area

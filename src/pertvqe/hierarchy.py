@@ -384,18 +384,6 @@ def duplication_defect(
     return worst, sum(1 for s in states if s >> n and s % (1 << n))
 
 
-def j_shortcut_weights(
-    model: HamiltonianModel,
-    leading: dict[tuple[int, int], list[MultiIndex]],
-) -> dict[tuple[int, int], float]:
-    """Cheap ordering key: summed coupling monomials of each group's leading
-    indices, keyed by (state, slot phase class)."""
-    out = {}
-    for (state, parity), ks in leading.items():
-        out[(state, (parity + 1) % 2)] = sum(model.coupling_monomial(k) for k in ks)
-    return out
-
-
 MODES = ("pert", "rev", "2loc", "loc")
 ORDERINGS = ("hierarchy", "parent")
 

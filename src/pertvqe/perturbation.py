@@ -3,9 +3,10 @@ field term, with memoized coefficient recursion, and the exact ground state
 it is checked against.
 
 ``HamiltonianModel.apply`` is the one Hamiltonian apply: the field diagonal
-plus each coupling's compiled Pauli action, with no matrix built.  The
-simulator's energies and gradients go through it, and ``exact_ground`` runs
-Lanczos over it.  ``dense_hamiltonian`` (capped at 12 qubits) remains for
+and each coupling's compiled Pauli action stacked into one gather
+(``HamiltonianModel.gather``), with no matrix built.  The simulator's
+energies and gradients go through it, and ``exact_ground`` runs Lanczos
+over it.  ``dense_hamiltonian`` (capped at 12 qubits) remains for
 ``series_residual``, which needs the full spectrum, and for test oracles.
 SciPy's Lanczos is imported inside ``exact_ground``, so the coefficient
 series and everything built on it run without SciPy.
@@ -102,17 +103,34 @@ class HamiltonianModel:
             diag -= h * (1.0 - 2.0 * ((idx >> q) & 1))
         return diag
 
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """H compiled as one stacked gather, ``H|psi> = (F * psi[P]).sum(0)``,
+        built on first use and kept with the model: ``(P, F)``.
+
+        Row 0 of P is the identity with F the field diagonal; each nonzero
+        coupling adds the row of its compiled action, scaled by its strength.
+        F is float64 when every nonzero coupling has an even Y count, else
+        complex128."""
+        dim = 1 << self.n_qubits
+        rows = [c for c in self.couplings if c.strength != 0.0]
+        real = all(c.operator.phase_exp % 2 == 0 for c in rows)
+        perms = np.empty((len(rows) + 1, dim), dtype=np.intp)
+        factors = np.empty(perms.shape, dtype=float if real else complex)
+        perms[0], factors[0] = np.arange(dim), self.diagonal
+        for r, c in enumerate(rows, 1):
+            perm, phased, real_action = c.operator.action
+            perms[r], factors[r] = perm, c.strength * (real_action if real else phased)
+        return perms, factors
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """H|psi>, the one Hamiltonian apply: the field diagonal plus each
-        nonzero coupling through its compiled Pauli action.  A float64 state
-        stays float64 when H is real."""
+        """H|psi>, the one Hamiltonian apply, through the stacked ``gather``;
+        rows add in order, the field diagonal first.  A float64 state stays
+        float64 when H is real."""
         if psi.size != 1 << self.n_qubits:
             raise ValueError("state dimension mismatch")
-        out = self.diagonal * psi
-        for c in self.couplings:
-            if c.strength != 0.0:
-                out = out + c.strength * c.operator.apply(psi)
-        return out
+        perms, factors = self.gather
+        return (factors * psi[perms]).sum(axis=0)
 
     @property
     def is_real(self) -> bool:
@@ -341,14 +359,6 @@ class CoefficientTable:
 
     def known(self) -> dict[MultiIndex, float]:
         return dict(self._memos["tilde"])
-
-
-def tilde_c(model: HamiltonianModel, k: Sequence[int]) -> float:
-    return CoefficientTable(model, MultiIndex(k).order).tilde(k)
-
-
-def normalized_c(model: HamiltonianModel, k: Sequence[int]) -> float:
-    return CoefficientTable(model, MultiIndex(k).order).normalized(k)
 
 
 def coefficients_to_json(table: CoefficientTable) -> dict:

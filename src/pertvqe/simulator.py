@@ -9,13 +9,18 @@ exp(i * scale * theta * T) exactly as cos(a)|psi> + i sin(a) T|psi>; no dense
 operator is ever materialized.
 
 States are complex (``complex128``) except inside ``energy_and_gradient``
-when every generator has an odd Y count and every coupling an even one: then
-i*T and H are real matrices, and its one adjoint pass runs on ``float64``
-states.  ``apply_pauli`` and ``energy`` keep a real state real when the
-operator they apply is real.
+when a diagonal phase gauge makes H and every i*T real (``_phase_gauge``):
+then its one adjoint pass runs on ``float64`` states.  Every generator with
+an odd Y count and every coupling with an even one need no gauge; the XY
+chain needs one.  The pass is compiled once per (ansatz, model) pair.
+``apply_pauli`` and ``energy`` keep a real state real when the operator they
+apply is real.
 """
 
 from __future__ import annotations
+
+import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,37 +116,125 @@ def energy_and_gradient(
     optimizer calls.  A unit is exp(a R), R = i * T, a = scale * theta; R is
     anti-Hermitian, so one R lam gives both the gradient term
     2 * scale * Re<lam|R psi_(i+1)> = -2 * scale * Re<R lam|psi_(i+1)> and
-    the un-rotation of lam.  States are float64 when R and H are real.
+    the un-rotation of lam.  States are float64 when a phase gauge makes R
+    and H real.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size != ansatz.num_params:
         raise ValueError("parameter vector length mismatch")
     if model.n_qubits != ansatz.n_qubits:
         raise ValueError("ansatz and model qubit counts differ")
+    circuit = _compiled(ansatz, model)
     units = ansatz.units
     angles = np.array([u.scale * thetas[u.param_index] for u in units])
     cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
-    psi = basis_state(ansatz.n_qubits, ansatz.start_state)
-    if model.is_real and all(u.generator.phase_exp % 2 for u in units):
-        psi = psi.real
+    psi = circuit.start
     states = [psi]
-    for unit, c, s in zip(units, cos, sin):
-        psi = c * psi + s * _apply_r(psi, unit.generator)
+    for (perm, factor), c, s in zip(circuit.rotations, cos, sin):
+        psi = c * psi + s * _apply_r(psi, perm, factor)
         states.append(psi)
-    lam = model.apply(psi)
+    # H psi as HamiltonianModel.apply computes it, in the circuit's gauge
+    lam = (circuit.h_factors * psi[circuit.h_perms]).sum(axis=0)
     value = float(np.vdot(psi, lam).real)
     grad = np.zeros(ansatz.num_params)
     for i in range(len(units) - 1, -1, -1):
         unit = units[i]
-        r_lam = _apply_r(lam, unit.generator)
+        r_lam = _apply_r(lam, *circuit.rotations[i])
         grad[unit.param_index] -= 2.0 * unit.scale * np.vdot(r_lam, states[i + 1]).real
         lam = cos[i] * lam - sin[i] * r_lam
     return value, grad
 
 
-def _apply_r(psi: np.ndarray, generator: PauliString) -> np.ndarray:
-    """R psi with R = i * generator: real for an odd Y count."""
-    return generator.rotation_factor * psi[generator.action.perm]
+def _apply_r(psi: np.ndarray, perm: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """R psi with R = i * T compiled as ``factor * psi[perm]``."""
+    return factor * psi[perm]
+
+
+class _Circuit(NamedTuple):
+    """The adjoint pass of one (ansatz, model) pair in one phase gauge: the
+    start state, each unit's R = i * T as (perm, factor), and H as the
+    stacked gather of ``HamiltonianModel.gather``."""
+
+    start: np.ndarray
+    rotations: tuple[tuple[np.ndarray, np.ndarray], ...]
+    h_perms: np.ndarray
+    h_factors: np.ndarray
+
+
+_I_POWERS = np.array([1, 1j, -1, -1j])
+# weak references to the last ansatz and model, and their circuit
+_last_compiled: tuple | None = None
+
+
+def _compiled(ansatz: ProductAnsatz, model: HamiltonianModel) -> _Circuit:
+    """The circuit of the pair, compiled on the first call with this ansatz
+    and model object; a sweep step calls the optimizer with one ansatz.
+    The cache holds neither object, and drops the circuit with the ansatz."""
+    global _last_compiled
+    last = _last_compiled
+    if last is None or last[0]() is not ansatz or last[1]() is not model:
+        last = _last_compiled = (weakref.ref(ansatz, _forget), weakref.ref(model),
+                                 _compile(ansatz, model))
+    return last[2]
+
+
+def _forget(ansatz_ref) -> None:
+    global _last_compiled
+    if _last_compiled is not None and _last_compiled[0] is ansatz_ref:
+        _last_compiled = None
+
+
+def _compile(ansatz: ProductAnsatz, model: HamiltonianModel) -> _Circuit:
+    """The pass on float64 arrays conjugated by omega(b) = i^popcount(c & b)
+    when a gauge c exists, else on the strings' own complex factors.  Each
+    factor entry is a power of i times a real, so
+    conj(omega(b)) * f(b) * omega(b ^ x) is exact, and the start state |s>
+    only picks up the global phase conj(omega(s)), which drops out of E and
+    its gradient.  With c = 0 the float64 arrays are the strings' own."""
+    perms = [u.generator.action.perm for u in ansatz.units]
+    factors = [u.generator.rotation_factor for u in ansatz.units]
+    h_perms, h_factors = model.gather
+    start = basis_state(ansatz.n_qubits, ansatz.start_state)
+    gauge = _phase_gauge(ansatz, model)
+    if gauge is None:
+        return _Circuit(start, tuple(zip(perms, factors)), h_perms, h_factors)
+    if gauge:  # with c = 0 every factor is float64 already
+        masked = np.arange(start.size) & gauge
+        omega = _I_POWERS[sum((masked >> q) & 1 for q in range(ansatz.n_qubits)) % 4]
+        # .real is a strided view; copies keep the pass on contiguous arrays
+        factors = [(omega.conj() * f * omega[p]).real.copy()
+                   for f, p in zip(factors, perms)]
+        h_factors = (omega.conj() * h_factors * omega[h_perms]).real.copy()
+    return _Circuit(start.real.copy(), tuple(zip(perms, factors)), h_perms, h_factors)
+
+
+def _phase_gauge(ansatz: ProductAnsatz, model: HamiltonianModel) -> int | None:
+    """A mask c under which H and every R = i * T are real matrices, or None.
+
+    Conjugation by omega multiplies a factor i^p X^x Z^z by
+    i^popcount(c & x) times a sign per amplitude, so it is real exactly when
+    popcount(c & x) + p is even: one equation over GF(2) per nonzero
+    coupling (its phase p) and per generator (p + 1, for the i of R).  The
+    field diagonal is always real.  Elimination leaves free bits zero, so c
+    is 0 whenever 0 solves the system."""
+    rows = [(c.operator.x_mask, c.operator.phase_exp % 2)
+            for c in model.couplings if c.strength != 0.0]
+    rows += [(u.generator.x_mask, (u.generator.phase_exp + 1) % 2)
+             for u in ansatz.units]
+    pivots = []  # (mask, parity, pivot bit); a pivot bit is in its own row only
+    for x, b in rows:
+        for px, pb, bit in pivots:
+            if x & bit:
+                x, b = x ^ px, b ^ pb
+        if not x:
+            if b:
+                return None
+            continue
+        bit = x & -x
+        pivots = [(px ^ x, pb ^ b, pbit) if px & bit else (px, pb, pbit)
+                  for px, pb, pbit in pivots]
+        pivots.append((x, b, bit))
+    return sum(bit for _, b, bit in pivots if b)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -158,6 +158,17 @@ class SweepStep:
 
 
 @dataclass(frozen=True)
+class DiscardedPass:
+    """A perturbative pass the sweep threw away when a warm run stalled:
+    the unit count it stalled at, the objective evaluations it spent up to
+    and including that run, and its wall time."""
+
+    stalled_at: int
+    evaluations: int
+    seconds: float
+
+
+@dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
     reference_energy: float
@@ -167,6 +178,8 @@ class SweepResult:
     # the model's first_order_angle and the optimizer budget that produced rows
     first_order_angle: float = math.inf
     budget: str = "full"
+    # the perturbative pass discarded before the full budget ran, if any
+    discarded_pass: DiscardedPass | None = None
 
 
 def hierarchy_sweep(
@@ -190,8 +203,9 @@ def hierarchy_sweep(
     alone at every step.  If one of those warm runs stalls, ending within
     ``STALL_ITERATIONS`` iterations, the sweep starts over under the full
     budget from the generator state it began with, so its result is the
-    full budget's bit for bit.  Either way the warm start guarantees the
-    error never increases with the unit count.
+    full budget's bit for bit, and ``discarded_pass`` records what the
+    thrown-away pass cost.  Either way the warm start guarantees the error
+    never increases with the unit count.
 
     Row 0 is the bare start state; the relative error is measured against
     the Lanczos ground energy of ``exact_ground``.  Optimizer failures abort
@@ -203,16 +217,18 @@ def hierarchy_sweep(
     if rng is None:
         rng = np.random.default_rng(1234)
     angle = first_order_angle(model)
+    discarded = None
     if angle < PERTURBATIVE_ANGLE:
         state = rng.bit_generator.state
         result = _grow(model, plist, n_p_max, gtol, max_iterations, multistarts,
                        rng, e_ref, perturbative=True)
-        if result is not None:
+        if isinstance(result, SweepResult):
             return replace(result, first_order_angle=angle, budget="perturbative")
+        discarded = result
         rng.bit_generator.state = state
     result = _grow(model, plist, n_p_max, gtol, max_iterations, multistarts,
                    rng, e_ref, perturbative=False)
-    return replace(result, first_order_angle=angle)
+    return replace(result, first_order_angle=angle, discarded_pass=discarded)
 
 
 def _grow(
@@ -225,13 +241,15 @@ def _grow(
     rng: np.random.Generator,
     e_ref: float,
     perturbative: bool,
-) -> SweepResult | None:
-    """The sweep under one budget; None when a perturbative warm run stalls."""
+) -> SweepResult | DiscardedPass:
+    """The sweep under one budget, or the record of a perturbative pass
+    whose warm run stalled."""
 
     def eps(value: float) -> float:
         # reference energies are negative here; normalize so the error is >= 0
         return (value - e_ref) / abs(e_ref)
 
+    pass_began = time.perf_counter()
     reruns = 0 if perturbative else 3  # 3 is optimize's default
     e_bare = energy(basis_state(model.n_qubits, 0), model)
     rows = [SweepRow(0, e_bare, eps(e_bare), (), 0)]
@@ -248,7 +266,8 @@ def _grow(
             runs = [optimize(ansatz, model, np.append(theta, 0.0), gtol,
                              max_iterations, reruns, rng=rng)]
             if perturbative and runs[0].iterations <= STALL_ITERATIONS:
-                return None
+                evaluations = sum(s.evaluations for s in steps) + runs[0].evaluations
+                return DiscardedPass(n, evaluations, time.perf_counter() - pass_began)
             best, start = runs[0], "warm"
             for i in range(0 if perturbative else multistarts):
                 runs.append(optimize(
@@ -294,5 +313,7 @@ def sweep_thetas_json(result: SweepResult) -> str:
         "first_order_angle": result.first_order_angle
         if math.isfinite(result.first_order_angle) else None,
         "budget": result.budget,
+        "discarded_pass": asdict(result.discarded_pass)
+        if result.discarded_pass is not None else None,
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -11,7 +11,6 @@ from pertvqe.ansatz import (
     fix_parameter,
     gram_matrix,
     manifold_area,
-    manifold_metrics,
     remove_parameter,
     respects_conjugation,
 )
@@ -307,8 +306,8 @@ def test_gram_matrix_yyx_closed_form(rng):
 
 def test_single_unit_gram_and_area():
     a = ProductAnsatz(1, (AnsatzUnit(PauliString.from_label("Y"), 0),), 0, 1)
-    gram, area = manifold_metrics(a, [0.3], domain=[(0.0, np.pi)],
-                                  cover_multiplicity=1, points_per_axis=64)
+    gram = gram_matrix(a, [0.3])
+    area = manifold_area(a, [(0.0, np.pi)], cover_multiplicity=1, points_per_axis=64)
     assert gram.shape == (1, 1)
     assert gram[0, 0] == pytest.approx(1.0, abs=1e-6)
     assert area == pytest.approx(np.pi, abs=1e-6)

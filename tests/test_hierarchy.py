@@ -14,7 +14,6 @@ from pertvqe.hierarchy import (
     duplication_defect,
     estimate_thetas,
     hierarchy_to_json,
-    j_shortcut_weights,
     qca_slot,
 )
 from pertvqe.pauli import MultiIndex, PauliString, format_bits
@@ -301,6 +300,13 @@ def test_disconnected_indices_give_zero_on_random_blocks(rng):
 
 
 # -- shortcut weights ------------------------------------------------------------------------
+
+
+def j_shortcut_weights(model, leading):
+    """Cheap ordering key: summed coupling monomials of each group's leading
+    indices, keyed by (state, slot phase class)."""
+    return {(state, (parity + 1) % 2): sum(model.coupling_monomial(k) for k in ks)
+            for (state, parity), ks in leading.items()}
 
 
 def test_j_weights_single_leading_index(rng):

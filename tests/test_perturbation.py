@@ -13,12 +13,10 @@ from pertvqe.perturbation import (
     dense_hamiltonian,
     exact_ground,
     factorization_defect,
-    normalized_c,
     perturbative_state,
     residual_slope,
     series_residual,
     tfim_chain,
-    tilde_c,
 )
 
 from conftest import (
@@ -163,7 +161,7 @@ def test_invalid_key_raises_on_first_lookup(series, key):
 
 
 def test_normalized_zero_order():
-    assert normalized_c(tfim_chain(3, 1.0, 0.5), (0, 0)) == pytest.approx(1.0)
+    assert CoefficientTable(tfim_chain(3, 1.0, 0.5), 0).normalized((0, 0)) == pytest.approx(1.0)
 
 
 def test_normalized_disconnected_factorizes_tfim():
@@ -353,7 +351,7 @@ def test_degenerate_field_raises():
         (Coupling(0.5, PauliString.from_label("XI")),),
     )
     with pytest.raises(DegeneracyError) as err:
-        tilde_c(model, (1,))
+        CoefficientTable(model, 1).tilde((1,))
     assert "degenerate" in str(err.value)
 
 

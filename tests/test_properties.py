@@ -1,7 +1,8 @@
-"""Property tests of the compiled Pauli action, of multi-index arithmetic
-against the validating constructor, of the real and complex paths of the
-adjoint gradient against independent dense oracles, and of parameter
-removal and fixing on layered ansatzes."""
+"""Property tests of the compiled Pauli action and the stacked Hamiltonian
+apply, of multi-index arithmetic against the validating constructor, of the
+real and complex paths of the adjoint gradient (and of the phase-gauge rule
+that picks between them) against independent dense oracles, and of
+parameter removal and fixing on layered ansatzes."""
 
 from unittest import mock
 
@@ -18,6 +19,7 @@ from pertvqe.ansatz import (
 )
 import pytest
 
+from pertvqe.hierarchy import build_priority_list
 from pertvqe.pauli import MultiIndex, PauliString
 from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel
 from pertvqe.simulator import (
@@ -124,6 +126,38 @@ def assert_matches_oracles(ansatz, theta, model, value, grad):
     assert np.max(np.abs(grad - gradient(ansatz, theta, model))) <= 1e-12
 
 
+def gauge_exists(ansatz, model):
+    """Brute force over every mask c: does the diagonal unitary
+    omega(b) = i^popcount(c & b) make each nonzero coupling term and each
+    i * generator a real matrix?  Entries are powers of i times reals, so
+    the dense products are exact."""
+    n = ansatz.n_qubits
+    mats = [c.strength * kron_matrix(c.operator)
+            for c in model.couplings if c.strength != 0.0]
+    mats += [1j * kron_matrix(u.generator) for u in ansatz.units]
+    for c in range(1 << n):
+        omega = np.array([1j ** (b & c).bit_count() for b in range(1 << n)])
+        if all(np.all((omega.conj()[:, None] * m * omega).imag == 0) for m in mats):
+            return True
+    return False
+
+
+def with_units(ansatz, units, pos=None):
+    """``ansatz`` with ``units`` inserted before unit ``pos`` (default: last)."""
+    pos = ansatz.n_units if pos is None else pos
+    return ProductAnsatz(ansatz.n_qubits, ansatz.units[:pos] + tuple(units)
+                         + ansatz.units[pos:], ansatz.start_state, ansatz.num_params)
+
+
+def per_coupling_apply(model, psi):
+    """H|psi> as a sum over couplings, one compiled action at a time."""
+    out = model.diagonal * psi
+    for c in model.couplings:
+        if c.strength != 0.0:
+            out = out + c.strength * c.operator.apply(psi)
+    return out
+
+
 # -- compiled action ----------------------------------------------------------
 
 
@@ -223,12 +257,17 @@ def test_rotation_equals_i_times_the_real_action(n, odd_y, real, seed, data):
     expected = signs * psi[perm]
     if not odd_y:
         expected = 1j * expected
-    got = simulator._apply_r(psi, generator)
+    got = simulator._apply_r(psi, perm, generator.rotation_factor)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
 
 
 # -- real and complex adjoint paths -------------------------------------------
+
+
+def _x0_and_y0(n, param_index, scale):
+    return [AnsatzUnit(PauliString.from_label(p + "I" * (n - 1)), param_index, scale)
+            for p in "XY"]
 
 
 @PROPERTY
@@ -238,33 +277,88 @@ def test_real_path_matches_complex_path_and_shift_rule(case):
     value, grad, real = energy_gradient_and_path(ansatz, theta, model)
     assert real
     assert_matches_oracles(ansatz, theta, model, value, grad)
-    # A zero-strength odd-Y coupling leaves H as it is but forces the complex path.
-    odd = PauliString.from_label("Y" + "I" * (ansatz.n_qubits - 1))
-    forced = HamiltonianModel(model.fields, model.couplings + (Coupling(0.0, odd),))
-    c_value, c_grad, real = energy_gradient_and_path(ansatz, theta, forced)
+    # Zero-scale X0 and Y0 units leave the state as it is, but no gauge makes
+    # both i*X0 and i*Y0 real, so they force the complex path.
+    forced = with_units(ansatz, _x0_and_y0(ansatz.n_qubits, 0, 0.0))
+    c_value, c_grad, real = energy_gradient_and_path(forced, theta, model)
     assert not real
     assert abs(value - c_value) <= 1e-12
     assert np.max(np.abs(grad - c_grad)) <= 1e-12
 
 
 @PROPERTY
-@given(real_cases(), st.booleans(), st.data())
-def test_mixed_ansatz_takes_complex_path_and_matches(case, even_generator, data):
+@given(real_cases(), st.data())
+def test_mixed_ansatz_takes_complex_path_and_matches(case, data):
     ansatz, model, theta = case
     n = ansatz.n_qubits
-    if even_generator:
-        unit = AnsatzUnit(data.draw(labels(n, odd_y=False)),
-                          data.draw(st.integers(0, ansatz.num_params - 1)))
-        pos = data.draw(st.integers(0, ansatz.n_units))
-        units = ansatz.units[:pos] + (unit,) + ansatz.units[pos:]
-        ansatz = ProductAnsatz(n, units, ansatz.start_state, ansatz.num_params)
-    else:
-        coupling = Coupling(data.draw(st.sampled_from([0.3, -0.8])),
-                            data.draw(labels(n, odd_y=True)))
-        model = HamiltonianModel(model.fields, model.couplings + (coupling,))
+    units = _x0_and_y0(n, data.draw(st.integers(0, ansatz.num_params - 1)),
+                       data.draw(st.sampled_from([1.0, -0.5])))
+    for unit in units:
+        ansatz = with_units(ansatz, [unit], data.draw(st.integers(0, ansatz.n_units)))
     value, grad, real = energy_gradient_and_path(ansatz, theta, model)
     assert not real
     assert_matches_oracles(ansatz, theta, model, value, grad)
+
+
+@st.composite
+def gauge_cases(draw):
+    """Generators and couplings of either Y parity, some couplings of zero
+    strength, and a parameter vector."""
+    n = draw(st.integers(1, 5))
+    n_units = draw(st.integers(1, 6))
+    units = tuple(AnsatzUnit(draw(labels(n, odd_y=draw(st.booleans()))), i)
+                  for i in range(n_units))
+    ansatz = ProductAnsatz(n, units, draw(st.integers(0, (1 << n) - 1)), n_units)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    couplings = tuple(
+        Coupling(draw(st.sampled_from([0.0, 0.3, -0.8])),
+                 draw(labels(n, odd_y=draw(st.booleans()))))
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    model = HamiltonianModel(tuple(rng.uniform(0.5, 1.5, n)), couplings)
+    return ansatz, model, rng.uniform(-np.pi, np.pi, n_units)
+
+
+@PROPERTY
+@given(gauge_cases())
+def test_float64_path_exactly_when_a_phase_gauge_exists(case):
+    ansatz, model, theta = case
+    value, grad, real = energy_gradient_and_path(ansatz, theta, model)
+    assert real == gauge_exists(ansatz, model)
+    assert_matches_oracles(ansatz, theta, model, value, grad)
+
+
+def test_xy_chain_pert_parent_ansatz_runs_in_float64():
+    n = 10
+    couplings = tuple(
+        Coupling(1.0 + 0.01 * i, PauliString.from_label("I" * i + "XY" + "I" * (n - i - 2)))
+        for i in range(n - 1))
+    model = HamiltonianModel(tuple(1.0 - 0.01 * q for q in range(n)), couplings)
+    assert not model.is_real
+    ansatz = build_priority_list(model, None, 5, "pert", "parent").build_ansatz(16)
+    assert any(u.generator.y_count % 2 == 0 for u in ansatz.units)
+    theta = np.random.default_rng(3).uniform(-1, 1, ansatz.num_params)
+    value, grad, real = energy_gradient_and_path(ansatz, theta, model)
+    assert real
+    assert_matches_oracles(ansatz, theta, model, value, grad)
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_apply_equals_the_per_coupling_sum(n, data, real, seed):
+    couplings = tuple(
+        Coupling(data.draw(st.sampled_from([0.0, 0.3, -0.8, 1.7])),
+                 data.draw(labels(n, odd_y=data.draw(st.booleans()))))
+        for _ in range(data.draw(st.integers(0, 5)))
+    )
+    rng = np.random.default_rng(seed)
+    model = HamiltonianModel(tuple(rng.uniform(0.5, 1.5, n)), couplings)
+    psi = rng.standard_normal(1 << n)
+    if not real:
+        psi = psi + 1j * rng.standard_normal(psi.size)
+    got, expected = model.apply(psi), per_coupling_apply(model, psi)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
 
 # -- parameter removal and fixing ----------------------------------------------

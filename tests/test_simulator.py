@@ -212,7 +212,8 @@ def test_adjoint_gradient_agrees_with_shift_rule(rng):
 
 
 def test_energy_and_adjoint_value_share_one_hamiltonian_apply(rng):
-    # an XY chain is complex, so both run on the complex path and agree exactly
+    # an XY chain is complex, and no phase gauge makes the layered parent's
+    # i*X0 and i*Y0 both real, so both run on the complex path and agree exactly
     n = 4
     couplings = tuple(
         Coupling(0.4, PauliString.from_ops(n, {i: "X", i + 1: "Y"}))
@@ -223,6 +224,24 @@ def test_energy_and_adjoint_value_share_one_hamiltonian_apply(rng):
     theta = rng.uniform(-1, 1, a.num_params)
     value, _ = energy_and_gradient(a, theta, model)
     assert value == energy(prepare(a, theta), model)
+
+
+def test_compiled_pass_is_kept_per_pair_and_dropped_with_the_ansatz():
+    import gc
+
+    from pertvqe import simulator
+
+    model = tfim_chain(3, 1.0, 0.3)
+    a = build_priority_list(model, None, 3).build_ansatz(3)
+    energy_and_gradient(a, np.zeros(3), model)
+    circuit = simulator._last_compiled[2]
+    energy_and_gradient(a, np.ones(3), model)
+    assert simulator._last_compiled[2] is circuit
+    energy_and_gradient(a, np.ones(3), model.rescaled(2.0))
+    assert simulator._last_compiled[2] is not circuit
+    del a
+    gc.collect()
+    assert simulator._last_compiled is None
 
 
 def test_gradient_vanishes_at_optimum():

@@ -150,6 +150,7 @@ def test_sweep_steps_record_how_each_energy_was_reached(monkeypatch):
     assert [s["iterations"] for s in steps] == [row.iterations for row in result.rows[1:]]
     assert payload["first_order_angle"] == pytest.approx(0.15)
     assert payload["budget"] == "perturbative"
+    assert payload["discarded_pass"] is None and result.discarded_pass is None
     for s in steps:
         assert s["start"] == "warm" or s["start"].split()[0] in ("rerun", "random")
         assert isinstance(s["converged"], bool) and s["message"] and s["seconds"] >= 0
@@ -249,6 +250,15 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
     construction = tfim_chain(4, 1.0, 0.15)
     plist = build_priority_list(construction, None, 4, "rev")
     calls = _record_optimize(monkeypatch)
+    evaluations = []
+    recorded = pertvqe.vqe.optimize
+
+    def counted(*args, **kwargs):
+        out = recorded(*args, **kwargs)
+        evaluations.append(out.evaluations)
+        return out
+
+    monkeypatch.setattr(pertvqe.vqe, "optimize", counted)
     rng = np.random.default_rng(5)
     result = hierarchy_sweep(construction, plist, 7, rng=rng)
     assert result.budget == "full" and result.first_order_angle == pytest.approx(0.0375)
@@ -257,6 +267,14 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
     assert calls[:len(alone)] == alone
     stalled = [its <= pertvqe.vqe.STALL_ITERATIONS for *_, its in alone]
     assert stalled == [False] * (len(alone) - 1) + [True]
+    # and the result records what that discarded pass cost
+    discarded = result.discarded_pass
+    assert discarded.stalled_at == alone[-1][0] == len(alone)
+    assert discarded.evaluations == sum(evaluations[:len(alone)]) > 0
+    assert discarded.seconds > 0
+    assert json.loads(sweep_thetas_json(result))["discarded_pass"] == {
+        "stalled_at": discarded.stalled_at, "evaluations": discarded.evaluations,
+        "seconds": discarded.seconds}
     # then every step makes the warm call with reruns and two random starts
     assert [(n, args[2]) for n, args, kwargs, _ in calls[len(alone):]
             if "restarts" not in kwargs] == [(n, 3) for n in range(1, 8)]
@@ -265,7 +283,7 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
     monkeypatch.setattr(pertvqe.vqe, "PERTURBATIVE_ANGLE", 0.0)
     forced_rng = np.random.default_rng(5)
     forced = hierarchy_sweep(construction, plist, 7, rng=forced_rng)
-    assert forced.budget == "full"
+    assert forced.budget == "full" and forced.discarded_pass is None
     assert [r.energy for r in result.rows] == [r.energy for r in forced.rows]
     assert [r.theta for r in result.rows] == [r.theta for r in forced.rows]
     assert [s.start for s in result.steps] == [s.start for s in forced.steps]
