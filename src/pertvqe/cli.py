@@ -68,14 +68,6 @@ class RunConfig:
     out: str = "."
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-        return cls.from_dict(raw)
-
-    @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         _object(raw, "config")
         if "model" not in raw:

@@ -9,6 +9,12 @@ first on a ket).  A qubit with both bits set carries X*Z = -i*Y, so the
 positive Hermitian tensor product I/X/Y/Z corresponds to
 ``phase_exp = (number of Y factors) mod 4``.
 
+On dense states a string has one compiled form, ``PauliString.action``: a
+gather ``perm`` and one float64 vector, from which ``factor`` gives the
+action of i^power times the string.  A diagonal phase gauge (a product of
+S gates) is a Clifford conjugation, so ``gauged`` applies it to the masks
+and phase alone.
+
 Computational basis states are plain integers; bit q of the integer is the
 value of qubit q.  Multi-indices counting coupling applications are
 ``MultiIndex`` tuples; the vector power of a coupling list expands
@@ -32,15 +38,13 @@ _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 
 
 class PauliAction(NamedTuple):
-    """A Pauli string compiled for dense states: ``op|psi> = phased * psi[perm]``.
-
-    ``real`` is the real vector r with ``i^(p mod 2) op|psi> = r * psi[perm]``:
-    the action of op itself when its phase i^p is real, and of i*op when it is
+    """A Pauli string compiled for dense states: the gather ``perm`` and the
+    real vector r with ``i^(p mod 2) op|psi> = r * psi[perm]``, the action
+    of op itself when its phase i^p is real and of i*op when it is
     imaginary (a Hermitian string with an odd Y count).
-    """
+    ``PauliString.factor`` gives every other power of i from r."""
 
     perm: np.ndarray
-    phased: np.ndarray
     real: np.ndarray
 
 
@@ -159,6 +163,18 @@ class PauliString:
         extra = 2 * (self.z_mask & bits).bit_count()
         return bits ^ self.x_mask, (self.phase_exp + extra) % 4
 
+    def gauged(self, c: int) -> "PauliString":
+        """omega^dagger op omega under the phase gauge omega = prod_{q in c} S_q
+        (diagonal, omega(b) = i^popcount(c & b)).  S^dagger X S = -Y, and S
+        leaves Z alone, so each X or Y on a bit of c trades its Z bit and
+        lowers the phase by one; x is unchanged, so the gauged string has
+        the same ``action.perm``.  Returns ``self`` when c misses x."""
+        flips = c & self.x_mask
+        if not flips:
+            return self
+        return PauliString(self.n_qubits, self.x_mask, self.z_mask ^ flips,
+                           self.phase_exp - flips.bit_count())
+
     @cached_property
     def action(self) -> PauliAction:
         """The compiled action on 2**n amplitudes, built on first use and kept
@@ -169,33 +185,30 @@ class PauliString:
         for q in range(self.n_qubits):
             if (self.z_mask >> q) & 1:
                 flips ^= perm >> q
-        sign = 1.0 - 2.0 * (flips & 1)
         p = self.phase_exp
-        return PauliAction(perm, (1j**p) * sign, (1j ** (p + p % 2)).real * sign)
+        return PauliAction(perm, (1j ** (p + p % 2)).real * (1.0 - 2.0 * (flips & 1)))
 
-    @cached_property
-    def rotation_factor(self) -> np.ndarray:
-        """The factor f with ``i op|psi> = f * psi[perm]``, built on first use
-        and kept with this string: the float64 ``action.real`` when i*op is
-        real (an odd Y count), else i times it."""
+    def factor(self, power: int = 0) -> np.ndarray:
+        """The factor f with ``i^power op|psi> = f * psi[perm]``.  When
+        i^(power + p) is real, f is float64: ``action.real`` itself for power
+        0 or 1, its negative for 2 or 3.  Otherwise f is +-i times it."""
         real = self.action.real
-        return real if self.phase_exp % 2 else 1j * real
+        turn = (power - self.phase_exp % 2) % 4
+        return real if turn == 0 else (1j, -1.0, -1j)[turn - 1] * real
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """op|psi> through the compiled action; a float64 state stays float64
         when the phase i^p is real."""
-        perm, phased, real = self.action
+        perm = self.action.perm
         if psi.size != perm.size:
             raise ValueError("state dimension mismatch")
-        if psi.dtype == np.float64 and self.phase_exp % 2 == 0:
-            return real * psi[perm]
-        return phased * psi[perm]
+        return self.factor() * psi[perm]
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix (oracle-grade; exponential in qubit count)."""
-        perm, phased, _ = self.action
+        perm = self.action.perm
         m = np.zeros((perm.size, perm.size), dtype=complex)
-        m[np.arange(perm.size), perm] = phased
+        m[np.arange(perm.size), perm] = self.factor()
         return m
 
     # -- text --------------------------------------------------------------

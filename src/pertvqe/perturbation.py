@@ -103,25 +103,23 @@ class HamiltonianModel:
             diag -= h * (1.0 - 2.0 * ((idx >> q) & 1))
         return diag
 
+    @property
+    def terms(self) -> tuple[Coupling, ...]:
+        """The couplings of nonzero strength: the ones H is made of."""
+        return tuple(c for c in self.couplings if c.strength != 0.0)
+
     @cached_property
     def gather(self) -> tuple[np.ndarray, np.ndarray]:
         """H compiled as one stacked gather, ``H|psi> = (F * psi[P]).sum(0)``,
         built on first use and kept with the model: ``(P, F)``.
 
-        Row 0 of P is the identity with F the field diagonal; each nonzero
-        coupling adds the row of its compiled action, scaled by its strength.
-        F is float64 when every nonzero coupling has an even Y count, else
-        complex128."""
-        dim = 1 << self.n_qubits
-        rows = [c for c in self.couplings if c.strength != 0.0]
-        real = all(c.operator.phase_exp % 2 == 0 for c in rows)
-        perms = np.empty((len(rows) + 1, dim), dtype=np.intp)
-        factors = np.empty(perms.shape, dtype=float if real else complex)
-        perms[0], factors[0] = np.arange(dim), self.diagonal
-        for r, c in enumerate(rows, 1):
-            perm, phased, real_action = c.operator.action
-            perms[r], factors[r] = perm, c.strength * (real_action if real else phased)
-        return perms, factors
+        Row 0 of P is the identity with F the field diagonal; each term adds
+        the row of its compiled action, scaled by its strength.  F is float64
+        when every term has an even Y count, else complex128."""
+        perms = np.array([np.arange(1 << self.n_qubits)]
+                         + [t.operator.action.perm for t in self.terms])
+        return perms, np.array([self.diagonal]
+                               + [t.strength * t.operator.factor() for t in self.terms])
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H|psi>, the one Hamiltonian apply, through the stacked ``gather``;
@@ -134,8 +132,8 @@ class HamiltonianModel:
 
     @property
     def is_real(self) -> bool:
-        """True when every coupling has an even Y count, so H is a real matrix."""
-        return all(c.operator.phase_exp % 2 == 0 for c in self.couplings)
+        """True when every term has an even Y count, so H is a real matrix."""
+        return all(c.operator.phase_exp % 2 == 0 for c in self.terms)
 
     def rescaled(self, factor: float) -> "HamiltonianModel":
         return HamiltonianModel(
@@ -386,10 +384,8 @@ def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
     rows = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
     h[rows, rows] = model.diagonal
-    for c in model.couplings:
-        if c.strength != 0.0:
-            perm, phased, _ = c.operator.action
-            h[rows, perm] += c.strength * phased
+    for c in model.terms:
+        h[rows, c.operator.action.perm] += c.strength * c.operator.factor()
     return h
 
 

@@ -2,19 +2,20 @@
 analytic gradients.
 
 States are 1-D arrays of length 2**n with qubit q on bit q of the amplitude
-index.  Every Pauli string acts through its compiled action
-``op|psi> = phased * psi[perm]`` (``PauliString.action``), and H through the
-model's one Hamiltonian apply (``HamiltonianModel.apply``).  Rotations apply
-exp(i * scale * theta * T) exactly as cos(a)|psi> + i sin(a) T|psi>; no dense
-operator is ever materialized.
+index.  Every Pauli string acts through its one compiled action,
+``i^power op|psi> = op.factor(power) * psi[op.action.perm]``, and H through
+the model's one Hamiltonian apply (``HamiltonianModel.apply``).  Rotations
+apply exp(i * scale * theta * T) exactly as cos(a)|psi> + i sin(a) T|psi>;
+no dense operator is ever materialized.
 
 States are complex (``complex128``) except inside ``energy_and_gradient``
 when a diagonal phase gauge makes H and every i*T real (``_phase_gauge``):
-then its one adjoint pass runs on ``float64`` states.  Every generator with
-an odd Y count and every coupling with an even one need no gauge; the XY
-chain needs one.  The pass is compiled once per (ansatz, model) pair.
-``apply_pauli`` and ``energy`` keep a real state real when the operator they
-apply is real.
+then its one adjoint pass runs on ``float64`` states.  The gauge is a
+product of S gates, applied to each string's masks (``PauliString.gauged``).
+Every generator with an odd Y count and every coupling with an even one
+need no gauge; the XY chain needs one.  The pass is compiled once per
+(ansatz, model) pair.  ``apply_pauli`` and ``energy`` keep a real state real
+when the operator they apply is real.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _apply_r(psi: np.ndarray, perm: np.ndarray, factor: np.ndarray) -> np.ndarra
 class _Circuit(NamedTuple):
     """The adjoint pass of one (ansatz, model) pair in one phase gauge: the
     start state, each unit's R = i * T as (perm, factor), and H as the
-    stacked gather of ``HamiltonianModel.gather``."""
+    model's stacked gather with its terms' factors in that gauge."""
 
     start: np.ndarray
     rotations: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -161,7 +162,6 @@ class _Circuit(NamedTuple):
     h_factors: np.ndarray
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])
 # weak references to the last ansatz and model, and their circuit
 _last_compiled: tuple | None = None
 
@@ -185,40 +185,34 @@ def _forget(ansatz_ref) -> None:
 
 
 def _compile(ansatz: ProductAnsatz, model: HamiltonianModel) -> _Circuit:
-    """The pass on float64 arrays conjugated by omega(b) = i^popcount(c & b)
-    when a gauge c exists, else on the strings' own complex factors.  Each
-    factor entry is a power of i times a real, so
-    conj(omega(b)) * f(b) * omega(b ^ x) is exact, and the start state |s>
-    only picks up the global phase conj(omega(s)), which drops out of E and
-    its gradient.  With c = 0 the float64 arrays are the strings' own."""
-    perms = [u.generator.action.perm for u in ansatz.units]
-    factors = [u.generator.rotation_factor for u in ansatz.units]
-    h_perms, h_factors = model.gather
-    start = basis_state(ansatz.n_qubits, ansatz.start_state)
-    gauge = _phase_gauge(ansatz, model)
-    if gauge is None:
-        return _Circuit(start, tuple(zip(perms, factors)), h_perms, h_factors)
-    if gauge:  # with c = 0 every factor is float64 already
-        masked = np.arange(start.size) & gauge
-        omega = _I_POWERS[sum((masked >> q) & 1 for q in range(ansatz.n_qubits)) % 4]
-        # .real is a strided view; copies keep the pass on contiguous arrays
-        factors = [(omega.conj() * f * omega[p]).real.copy()
-                   for f, p in zip(factors, perms)]
-        h_factors = (omega.conj() * h_factors * omega[h_perms]).real.copy()
-    return _Circuit(start.real.copy(), tuple(zip(perms, factors)), h_perms, h_factors)
+    """The pass with every generator and term conjugated by the phase gauge
+    omega(b) = i^popcount(c & b) (``PauliString.gauged``), or with c = 0
+    when no gauge exists.  Under a gauge each R = i * T and H are real, so
+    the factors are float64 and the pass runs on float64 states; the start
+    state |s> only picks up the global phase conj(omega(s)), which drops out
+    of E and its gradient.  A gauge keeps each x mask, so every unit and H
+    gather through the ungauged perms, and with c = 0 a unit whose R is
+    real uses its string's own ``action.real``."""
+    c = _phase_gauge(ansatz, model) or 0
+    rotations = tuple((u.generator.action.perm, u.generator.gauged(c).factor(1))
+                      for u in ansatz.units)
+    h_factors = np.array([model.diagonal] + [t.strength * t.operator.gauged(c).factor()
+                                             for t in model.terms])
+    dtype = np.result_type(h_factors, *(f for _, f in rotations))
+    start = basis_state(ansatz.n_qubits, ansatz.start_state).real.astype(dtype)
+    return _Circuit(start, rotations, model.gather[0], h_factors)
 
 
 def _phase_gauge(ansatz: ProductAnsatz, model: HamiltonianModel) -> int | None:
     """A mask c under which H and every R = i * T are real matrices, or None.
 
-    Conjugation by omega multiplies a factor i^p X^x Z^z by
-    i^popcount(c & x) times a sign per amplitude, so it is real exactly when
+    Conjugation by omega (``PauliString.gauged``) takes i^p X^x Z^z to a
+    string of phase p - popcount(c & x), so it is real exactly when
     popcount(c & x) + p is even: one equation over GF(2) per nonzero
     coupling (its phase p) and per generator (p + 1, for the i of R).  The
     field diagonal is always real.  Elimination leaves free bits zero, so c
     is 0 whenever 0 solves the system."""
-    rows = [(c.operator.x_mask, c.operator.phase_exp % 2)
-            for c in model.couplings if c.strength != 0.0]
+    rows = [(t.operator.x_mask, t.operator.phase_exp % 2) for t in model.terms]
     rows += [(u.generator.x_mask, (u.generator.phase_exp + 1) % 2)
              for u in ansatz.units]
     pivots = []  # (mask, parity, pivot bit); a pivot bit is in its own row only

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,6 +308,30 @@ def test_exact_ground_matches_dense_diagonalization(rng, n, real):
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         pivot = int(np.argmax(np.abs(vec)))
         assert abs(vec[pivot].imag) < 1e-15 and vec[pivot].real > 0.0
+
+
+def test_zero_strength_odd_y_coupling_leaves_h_real():
+    # the only odd-Y coupling has strength 0, so H is real and Lanczos runs
+    # on float64 vectors
+    n = 6
+    couplings = [Coupling(0.0, PauliString.from_ops(n, {0: "X", 1: "Y"}))]
+    couplings += [Coupling(0.3 + 0.05 * q, PauliString.from_ops(n, {q: "X", q + 1: "X"}))
+                  for q in range(n - 1)]
+    model = HamiltonianModel(tuple(1.0 + 0.02 * q for q in range(n)), tuple(couplings))
+    assert model.is_real
+    dtypes = set()
+    apply = HamiltonianModel.apply
+
+    def spy(self, psi):
+        dtypes.add(psi.dtype)
+        return apply(self, psi)
+
+    with mock.patch.object(HamiltonianModel, "apply", spy):
+        energy, vec = exact_ground(model)
+    assert dtypes == {np.dtype(np.float64)}
+    dense_energy, dense_vec = dense_ground(model)
+    assert abs(energy - dense_energy) <= 1e-12 * abs(dense_energy)
+    assert np.max(np.abs(vec - dense_vec)) <= 1e-12
 
 
 def _odd_parity_ground_chain():

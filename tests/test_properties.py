@@ -161,13 +161,18 @@ def per_coupling_apply(model, psi):
 # -- compiled action ----------------------------------------------------------
 
 
-def test_to_matrix_matches_kronecker_products_for_every_string():
-    for n in range(1, 6):
+def every_string(max_qubits=4):
+    """Every PauliString on 1..max_qubits qubits, all masks and phases."""
+    for n in range(1, max_qubits + 1):
         for x in range(1 << n):
             for z in range(1 << n):
                 for p in range(4):
-                    op = PauliString(n, x, z, p)
-                    assert np.array_equal(op.to_matrix(), kron_matrix(op))
+                    yield PauliString(n, x, z, p)
+
+
+def test_to_matrix_matches_kronecker_products_for_every_string():
+    for op in every_string(5):
+        assert np.array_equal(op.to_matrix(), kron_matrix(op))
 
 
 @PROPERTY
@@ -244,22 +249,39 @@ def test_references_are_the_reference_returning_sub_indices(n, n_couplings, data
     assert table._references(k) == scanned
 
 
-@PROPERTY
-@given(st.integers(1, 5), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
-def test_rotation_equals_i_times_the_real_action(n, odd_y, real, seed, data):
+def test_factor_is_the_rows_of_i_power_times_the_matrix():
     # exact equality; only the sign of a zero real or imaginary part may differ
-    generator = data.draw(labels(n, odd_y))
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(1 << n)
-    if not real:
-        psi = psi + 1j * rng.standard_normal(psi.size)
-    perm, _, signs = generator.action
-    expected = signs * psi[perm]
-    if not odd_y:
-        expected = 1j * expected
-    got = simulator._apply_r(psi, perm, generator.rotation_factor)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
+    rng = np.random.default_rng(5)
+    for op in every_string():
+        dim = 1 << op.n_qubits
+        rows, perm = np.arange(dim), op.action.perm
+        real_psi = rng.standard_normal(dim)
+        for power in range(4):
+            dense = (1j**power) * kron_matrix(op)
+            f = op.factor(power)
+            assert np.count_nonzero(dense) == dim
+            assert np.array_equal(f, dense[rows, perm])
+            assert (f.dtype == np.float64) == ((power + op.phase_exp) % 2 == 0)
+            if power < 2 and f.dtype == np.float64:
+                assert f is op.action.real
+        # the rotation step R = i * op keeps a real state real when R is real
+        for psi in (real_psi, real_psi + 1j * rng.standard_normal(dim)):
+            got = simulator._apply_r(psi, perm, op.factor(1))
+            expected = (1j * kron_matrix(op))[rows, perm] * psi[perm]
+            assert np.array_equal(got, expected)
+            assert (got.dtype == np.float64) == (
+                psi.dtype == np.float64 and op.phase_exp % 2 == 1)
+
+
+def test_gauged_is_the_dense_conjugation_for_every_string_and_mask():
+    for op in every_string():
+        dense = kron_matrix(op)
+        for c in range(1 << op.n_qubits):
+            omega = np.array([1j ** (b & c).bit_count() for b in range(dense.shape[0])])
+            gauged = op.gauged(c)
+            assert gauged.x_mask == op.x_mask
+            assert (gauged is op) == (c & op.x_mask == 0)
+            assert np.array_equal(kron_matrix(gauged), omega.conj()[:, None] * dense * omega)
 
 
 # -- real and complex adjoint paths -------------------------------------------
