@@ -141,7 +141,10 @@ def _object(value, where: str) -> dict:
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing to truncate a number that is not integral."""
+    """``int(value)``, refusing a JSON boolean and refusing to truncate a
+    number that is not integral."""
+    if isinstance(value, bool):
+        raise ValueError(f"{str(value).lower()} is not an integer")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)

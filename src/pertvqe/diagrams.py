@@ -19,32 +19,6 @@ from .perturbation import HamiltonianModel
 _COLOR = {"X": "blue", "Y": "red", "Z": "black"}
 
 
-class UnionFind:
-    """Path-compressing union-find over integer ids."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return out
-
-
 @dataclass(frozen=True)
 class Diagram:
     k: MultiIndex
@@ -57,17 +31,30 @@ class Diagram:
 
 def _activated_components(model: HamiltonianModel, k: Sequence[int]) -> list[list[int]]:
     """Connected components of the activated couplings (square adjacency by
-    shared qubits collapses all repetitions of one coupling)."""
-    active = [b for b, count in enumerate(k) if count > 0]
-    if not active:
-        return []
-    uf = UnionFind(len(active))
-    sup = [model.couplings[b].operator.support() for b in active]
-    for i in range(len(active)):
-        for j in range(i + 1, len(active)):
-            if sup[i] & sup[j]:
-                uf.union(i, j)
-    return [[active[i] for i in members] for members in uf.groups().values()]
+    shared qubits collapses all repetitions of one coupling), each grown from
+    its lowest coupling over the qubit masks x | z; members ascending."""
+    rest = []
+    for b, count in enumerate(k):
+        if count > 0:
+            op = model.couplings[b].operator
+            rest.append((b, op.x_mask | op.z_mask))
+    components = []
+    while rest:
+        (first, touched), *rest = rest
+        members = [first]
+        grown = True
+        while grown:
+            grown, outside = False, []
+            for b, mask in rest:
+                if mask & touched:
+                    members.append(b)
+                    touched |= mask
+                    grown = True
+                else:
+                    outside.append((b, mask))
+            rest = outside
+        components.append(sorted(members))
+    return components
 
 
 def build_diagram(model: HamiltonianModel, k: Sequence[int]) -> Diagram:

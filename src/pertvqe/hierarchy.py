@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -256,32 +257,33 @@ class _ProductSeries:
             by_slot.setdefault(slot.parent_position, []).append(i)
         # per slot, in parent order: {c: [(multiplicities, n), ...]}
         self._slots: list[dict[tuple, list]] = []
-        generator_of: dict[tuple, PauliString | None] = {}
+        # (-i) T_s |s> = i^(phase - 1) (-1)^popcount(z & s) |s ^ x>: per c, the
+        # z mask and phase offset of its term; an even term acts as identity
+        flips: dict[tuple, tuple[int, int]] = {}
         for pos in sorted(by_slot):
             terms = _multisets([(i, ks[i]) for i in by_slot[pos]], down)
             self._slots.append(terms)
             for c, sets in terms.items():
                 # the state c reaches fixes the size parity of its multisets
                 if sets[0][1] % 2:
-                    generator_of[c] = slots[pos].generator
+                    gen = slots[pos].generator
+                    flips[c] = (gen.z_mask, gen.phase_exp - 1)
                 else:
-                    generator_of.setdefault(c, None)
+                    flips.setdefault(c, (0, 0))
         phase = {q: table.state_phase(q) for q in down}
+        # a q gets at most one pair per c, so no visiting order changes a sum
         self._pairs: dict[tuple, list[tuple[tuple, tuple, float]]] = {
-            c: [] for c in generator_of
+            c: [] for c in flips
         }
         for q in down:
             _, g_q = phase[q]
-            for c in q.sub_indices():
-                if c not in generator_of:
+            for c in product(*[range(count + 1) for count in q]):
+                flip = flips.get(c)
+                if flip is None:
                     continue
-                p = q.sub(c)
+                p = tuple(map(sub, q, c))  # c <= q: unchecked
                 s_p, g_p = phase[p]
-                gen = generator_of[c]
-                if gen is None:
-                    rel = g_p - g_q
-                else:  # (-i) T_s acting on |s_p>
-                    rel = gen.apply_to_basis(s_p)[1] - 1 + g_p - g_q
+                rel = flip[1] + 2 * (flip[0] & s_p).bit_count() + g_p - g_q
                 if rel % 2:
                     raise AssertionError("back-action bracket is not real")
                 self._pairs[c].append((p, q, 1.0 if rel % 4 == 0 else -1.0))

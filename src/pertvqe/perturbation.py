@@ -160,6 +160,15 @@ def tfim_chain(n_qubits: int, field: float = 1.0, coupling: float = 0.0) -> Hami
     return HamiltonianModel((float(field),) * n_qubits, ops)
 
 
+def _sign(left: PauliString, right: PauliString, merged: PauliString) -> float:
+    """S with left * right = S * merged, for powers whose product differs from
+    ``merged`` by a sign: the phase of ``PauliString.__mul__`` on the masks
+    alone."""
+    diff = (left.phase_exp + right.phase_exp - merged.phase_exp
+            + 2 * (left.z_mask & right.x_mask).bit_count()) % 4
+    return 1.0 if diff == 0 else -1.0
+
+
 def _memoized(series):
     """Memoize one ``CoefficientTable`` series in a dict owned by the table.
     A tuple key and a ``MultiIndex`` with the same counts are one entry; only
@@ -204,8 +213,6 @@ class CoefficientTable:
         self.max_order = max_order
         self._ops = model.operators
         self._e0 = unperturbed_energy(0, model.fields)
-        n_c = len(self._ops)
-        self._deltas = [MultiIndex.delta(n_c, b) for b in range(n_c)]
         self._memos: defaultdict[str, dict[MultiIndex, object]] = defaultdict(dict)
 
     # -- pauli bookkeeping, memoized ----------------------------------------
@@ -217,14 +224,6 @@ class CoefficientTable:
         # V^{.k}|0> = i^p |x>: no Z factor acts on the all-zeros state
         power = self.power(k)
         return power.x_mask, power.phase_exp
-
-    def relative_sign(self, k: Sequence[int], kp: Sequence[int]) -> int:
-        left, right = self.power(k), self.power(kp)
-        merged = self.power(tuple(a + b for a, b in zip(k, kp, strict=True)))
-        # the phase of left * right (PauliString.__mul__), on the masks alone
-        diff = (left.phase_exp + right.phase_exp - merged.phase_exp
-                + 2 * (left.z_mask & right.x_mask).bit_count()) % 4
-        return 1 if diff == 0 else -1
 
     def _references(self, k: MultiIndex) -> list[MultiIndex]:
         """Reference-returning sub-indices of k, in ``sub_indices`` order.
@@ -257,30 +256,36 @@ class CoefficientTable:
     def tilde(self, k: Sequence[int]) -> float:
         if k.order == 0:
             return 1.0
-        state, _ = self.state_phase(k)
+        merged = self.power(k)
+        state = merged.x_mask
         if state == 0:
             return 0.0
         gap = self._e0 - unperturbed_energy(state, self.model.fields)
         if abs(gap) < _DEGENERACY_TOL:
             raise DegeneracyError(state, self.model.n_qubits)
-        # k reaches ``state`` != 0, so k itself is not among its references
-        refs = self._references(k)
+        # k reaches ``state`` != 0, so k itself is not among its references;
+        # each reference kp <= k leaves rest = k - kp, signed once per kp
+        refs = []
+        for kp in self._references(k):
+            rest = tuple.__new__(MultiIndex, [a - b for a, b in zip(k, kp)])
+            right = self.power(kp)
+            refs.append((kp, right, rest, _sign(self.power(rest), right, merged)))
         total = 0.0
         for beta in range(len(k)):
             if k[beta] == 0:
                 continue
-            delta = self._deltas[beta]
+            op = self._ops[beta]  # the power at the unit index of beta
             k_minus = k.decrement(beta)
-            total += self.tilde(k_minus) * self.relative_sign(delta, k_minus)
-            for kp in refs:
+            total += self.tilde(k_minus) * _sign(op, self.power(k_minus), merged)
+            for kp, right, rest, rest_sign in refs:
                 if kp[beta] == 0:
                     continue
-                lower, rest = kp.decrement(beta), k.sub(kp)
+                lower = kp.decrement(beta)
                 total -= (
                     self.tilde(lower)
                     * self.tilde(rest)
-                    * self.relative_sign(delta, lower)
-                    * self.relative_sign(rest, kp)
+                    * _sign(op, self.power(lower), right)
+                    * rest_sign
                 )
         return total / gap
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,26 @@ def test_hierarchy_command_writes_ranked_table(tmp_path, capsys):
     assert thetas["XIIY"] == pytest.approx(-(j**3) / 32)
     out = capsys.readouterr().out
     assert "rank" in out and "XXXY" in out
+
+
+def test_twelve_site_hierarchy_is_pinned_byte_for_byte(tmp_path):
+    # an n=12 XX chain with seeded fields and couplings at k_max 7: any
+    # rewrite of the estimator must leave hierarchy.json unchanged
+    rng = random.Random("estimator-pin")
+    n = 12
+    model = {
+        "type": "custom",
+        "h": [rng.uniform(0.9, 1.1) for _ in range(n)],
+        "couplings": [{"j": 0.15 * rng.uniform(0.9, 1.1),
+                       "pauli": "I" * i + "XX" + "I" * (n - i - 2)}
+                      for i in range(n - 1)],
+    }
+    cfg = write_config(tmp_path, model=model, k_max=7)
+    assert main(["--config", str(cfg), "hierarchy"]) == 0
+    text = (tmp_path / "out" / "hierarchy.json").read_bytes()
+    assert len(json.loads(text)) == 155
+    assert hashlib.sha256(text).hexdigest() == (
+        "a088bbfa4c187ffd78bc4dba840de46f117c358112769ed33183ffd5596e5751")
 
 
 def test_hierarchy_command_k_max_one_nearest_neighbours_only(tmp_path):
@@ -369,12 +391,21 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
     ("sweep", {"sweep": {"gtol": -1}}, "sweep.gtol must be finite and positive"),
     ("sweep", {"sweep": {"max_iterations": 0}}, "sweep.max_iterations must be at least 1"),
     ("sweep", {"sweep": {"hierarchies": [5]}}, "sweep.hierarchies:"),
+    ("hierarchy", {"hierarchy": {"tie_seed": False}},
+     "hierarchy.tie_seed: false is not an integer"),
+    ("hierarchy", {"k_max": True}, "k_max: true is not an integer"),
+    ("sweep", {"sweep": {"n_p_max": True}}, "sweep.n_p_max: true is not an integer"),
+    ("sweep", {"sweep": {"max_iterations": True}},
+     "sweep.max_iterations: true is not an integer"),
+    ("hierarchy", {"model": {"type": "tfim", "n_qubits": True}},
+     "true is not an integer"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
         "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
         "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
         "n_p_max-fraction", "max_iterations-fraction", "n_qubits-fraction",
         "tie_seed-negative", "out-number", "j_values-nan", "gtol-nan", "gtol-negative",
-        "max_iterations-zero", "hierarchies-entry-not-a-pair"])
+        "max_iterations-zero", "hierarchies-entry-not-a-pair", "tie_seed-false",
+        "k_max-true", "n_p_max-true", "max_iterations-true", "n_qubits-true"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2

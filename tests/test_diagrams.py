@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import deque
 
 import pytest
 
@@ -11,10 +12,10 @@ from pertvqe.diagrams import (
     is_disconnected_split,
     leading_to_json,
 )
-from pertvqe.pauli import MultiIndex, format_bits, state_and_phase
-from pertvqe.perturbation import tfim_chain
+from pertvqe.pauli import MultiIndex, format_bits, state_and_phase, support
+from pertvqe.perturbation import Coupling, HamiltonianModel, tfim_chain
 
-from conftest import random_model
+from conftest import random_model, random_pauli
 
 
 def _parse_dot_edges(text):
@@ -79,18 +80,51 @@ def test_disconnected_split_cases():
     assert is_disconnected_split(model, (0, 2, 0)) is None
 
 
+def connected_by_search(model, k):
+    """Whether the couplings activated in k form one component, by a
+    breadth-first search over their qubit supports."""
+    active = [b for b, count in enumerate(k) if count]
+    sup = {b: model.couplings[b].operator.support() for b in active}
+    seen, queue = {active[0]}, deque(active[:1])
+    while queue:
+        b = queue.popleft()
+        for other in active:
+            if other not in seen and sup[b] & sup[other]:
+                seen.add(other)
+                queue.append(other)
+    return len(seen) == len(active)
+
+
 def test_enumerate_connected_matches_brute_force(rng):
-    for _ in range(8):
-        model = random_model(rng, 5, 4)
-        k_max = 3
+    # chains, dense random couplings, and random two-site couplings on
+    # arbitrary qubit pairs, which often leave k disconnected
+    models = [tfim_chain(5, 1.0, 0.2)]
+    models += [random_model(rng, 5, 4) for _ in range(4)]
+    for _ in range(4):
+        models.append(HamiltonianModel((1.0,) * 5, tuple(
+            Coupling(0.2, random_pauli(rng, 5, rng.choice(5, size=2, replace=False)))
+            for _ in range(4))))
+    k_max = 3
+    n_disconnected = 0
+    for model in models:
         fast = set(enumerate_connected(model, k_max))
         slow = set()
-        for k in itertools.product(range(k_max + 1), repeat=4):
+        for k in itertools.product(range(k_max + 1), repeat=model.n_couplings):
             if not 1 <= sum(k) <= k_max:
                 continue
-            if is_disconnected_split(model, k) is None:
+            split = is_disconnected_split(model, k)
+            if connected_by_search(model, k):
                 slow.add(MultiIndex(k))
+                assert split is None
+                continue
+            n_disconnected += 1
+            k_a, k_b = split
+            lowest = min(b for b, count in enumerate(k) if count)
+            assert k_a[lowest] and k_a.add(k_b) == k
+            assert connected_by_search(model, k_a)
+            assert not support(k_a, model.operators) & support(k_b, model.operators)
         assert fast == slow
+    assert n_disconnected > 0
 
 
 def test_enumerate_connected_is_empty_below_order_one():

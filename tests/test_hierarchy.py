@@ -263,6 +263,31 @@ def test_eight_site_chain_doubled_to_sixteen_qubits_is_size_extensive():
     assert duplication_defect(single, doubled) == (pytest.approx(0.0, abs=1e-10), 0)
 
 
+@pytest.mark.parametrize("k_max, counts, shapes", [
+    (3, (42, 90, 186), {"XY", "XIY", "XIIY"}),
+    (4, (67, 147, 307), {"XY", "XIY", "XIIY", "XIIIY", "XXXY"}),
+])
+def test_long_chains_are_size_extensive(k_max, counts, shapes):
+    # J = 0.15 chains of 16, 32 and 64 sites: the slot count grows linearly
+    # (3n - 6 at k_max 3, 5n - 13 at k_max 4), and the slots at least
+    # k_max + 1 sites from both ends take one angle per shape, the same bit
+    # for bit at every position and every n
+    bulk: dict[str, set[float]] = {}
+    for n, count in zip((16, 32, 64), counts):
+        estimates = estimate_thetas(tfim_chain(n, 1.0, 0.15), None, k_max)
+        assert len(estimates) == count
+        seen = set()
+        for e in estimates:
+            sup = sorted(e.slot.generator.support())
+            lo, hi = sup[0], sup[-1]
+            if lo > k_max and n - 1 - hi > k_max:
+                shape = e.slot.generator.to_label()[lo:hi + 1]
+                seen.add(shape)
+                bulk.setdefault(shape, set()).add(e.theta_tilde)
+        assert seen == shapes
+    assert all(len(thetas) == 1 for thetas in bulk.values()), bulk
+
+
 def test_duplication_defect_reports_unequal_copies_and_a_bridge():
     single = tfim_chain(3, 1.0, 0.3)
     # second copy at J = 0.2, not 0.3: order-1 angles differ by 0.1/4

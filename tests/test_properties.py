@@ -1,13 +1,15 @@
 """Property tests of the compiled Pauli action and the stacked Hamiltonian
 apply, of multi-index arithmetic against the validating constructor, of the
 real and complex paths of the adjoint gradient (and of the phase-gauge rule
-that picks between them) against independent dense oracles, and of
-parameter removal and fixing on layered ansatzes."""
+that picks between them) against independent dense oracles, of the signs
+the coefficient recursion uses against ``relative_sign``, and of parameter
+removal and fixing on layered ansatzes."""
 
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pertvqe import simulator
 from pertvqe.ansatz import (
@@ -20,8 +22,8 @@ from pertvqe.ansatz import (
 import pytest
 
 from pertvqe.hierarchy import build_priority_list
-from pertvqe.pauli import MultiIndex, PauliString
-from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel
+from pertvqe.pauli import MultiIndex, PauliString, relative_sign
+from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel, _sign
 from pertvqe.simulator import (
     apply_pauli,
     energy,
@@ -247,6 +249,39 @@ def test_references_are_the_reference_returning_sub_indices(n, n_couplings, data
                                       max_size=n_couplings)))
     scanned = [kp for kp in k.sub_indices() if table.state_phase(kp)[0] == 0]
     assert table._references(k) == scanned
+
+
+@st.composite
+def anticommuting_couplings(draw):
+    """Two to four X/Y/Z couplings on 2-4 qubits, at least two of which
+    anticommute."""
+    n = draw(st.integers(2, 4))
+    ops = draw(st.lists(st.booleans().flatmap(lambda odd_y: labels(n, odd_y)),
+                        min_size=2, max_size=4))
+    assume(any(not a.commutes_with(b) for a, b in combinations(ops, 2)))
+    return ops
+
+
+@PROPERTY
+@given(anticommuting_couplings(), st.data())
+def test_tilde_signs_equal_the_relative_sign_oracle(ops, data):
+    # tilde signs each term as _sign(power(a), power(b), power(a + b)) for
+    # a + b <= k, with the power at a unit index read as the coupling itself
+    n = ops[0].n_qubits
+    table = CoefficientTable(HamiltonianModel((1.0,) * n, tuple(
+        Coupling(1.0, op) for op in ops)), 4)
+    for beta, op in enumerate(ops):
+        assert table.power(MultiIndex.delta(len(ops), beta)) == op
+    k = MultiIndex(data.draw(st.lists(st.integers(1, 2), min_size=len(ops),
+                                      max_size=len(ops))))
+    signs = set()
+    for merged in k.sub_indices():
+        for right in merged.sub_indices():
+            left = merged.sub(right)
+            sign = _sign(table.power(left), table.power(right), table.power(merged))
+            assert sign == relative_sign(left, right, ops)
+            signs.add(sign)
+    assert signs == {1.0, -1.0}
 
 
 def test_factor_is_the_rows_of_i_power_times_the_matrix():
