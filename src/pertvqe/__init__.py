@@ -48,7 +48,6 @@ from .perturbation import (
     Coupling,
     DegeneracyError,
     HamiltonianModel,
-    dense_hamiltonian,
     exact_ground,
     perturbative_state,
     series_residual,

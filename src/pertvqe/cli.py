@@ -83,9 +83,9 @@ class RunConfig:
             tie_seed=None if hier.get("tie_seed") is None
             else _convert(_integer, hier, "tie_seed", None, "hierarchy."),
             n_p_max=_convert(_integer, sweep, "n_p_max", 30, "sweep."),
-            gtol=_convert(float, sweep, "gtol", 1e-9, "sweep."),
+            gtol=_convert(_real, sweep, "gtol", 1e-9, "sweep."),
             max_iterations=_convert(_integer, sweep, "max_iterations", 2000, "sweep."),
-            j_values=_convert(float, sweep, "j_values", [0.15, 6.0, 1.0], "sweep."),
+            j_values=_convert(_real, sweep, "j_values", [0.15, 6.0, 1.0], "sweep."),
             hierarchies=_convert(list, sweep, "hierarchies", DEFAULT_HIERARCHIES, "sweep."),
             out=raw.get("out", "."),
         )
@@ -150,6 +150,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``float(value)``, refusing a JSON boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"{str(value).lower()} is not a number")
+    return float(value)
+
+
+def _finite(value) -> float:
+    """``_real(value)``, refusing NaN and the infinities: a model term that
+    is not finite would be written into strict-JSON outputs."""
+    out = _real(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{value!r} is not a finite number")
+    return out
+
+
 def _parse_model(raw: dict) -> HamiltonianModel:
     kind = _object(raw, "model").get("type", "tfim")
     if kind not in ("tfim", "custom"):
@@ -157,13 +173,13 @@ def _parse_model(raw: dict) -> HamiltonianModel:
     try:
         if kind == "tfim":
             return tfim_chain(
-                _integer(raw["n_qubits"]), float(raw.get("h", 1.0)), float(raw.get("j", 0.0))
+                _integer(raw["n_qubits"]), _finite(raw.get("h", 1.0)), _finite(raw.get("j", 0.0))
             )
         couplings = tuple(
-            Coupling(float(c["j"]), PauliString.from_label(c["pauli"]))
+            Coupling(_finite(c["j"]), PauliString.from_label(c["pauli"]))
             for c in raw["couplings"]
         )
-        return HamiltonianModel(tuple(float(h) for h in raw["h"]), couplings)
+        return HamiltonianModel(tuple(_finite(h) for h in raw["h"]), couplings)
     except KeyError as exc:
         raise ConfigError(f"model: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

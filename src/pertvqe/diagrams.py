@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .pauli import MultiIndex, format_bits, state_and_phase
+from .pauli import MultiIndex, format_bits
 from .perturbation import HamiltonianModel
 
 _COLOR = {"X": "blue", "Y": "red", "Z": "black"}
@@ -147,17 +147,24 @@ def enumerate_leading(
     """Group connected indices by (reached state, red parity) and keep the
     minimal-order members of each group (all ties kept).
 
-    Indices that return to the reference state are skipped: they carry no
-    generator target.  Group insertion order is (order, state, parity);
-    each list is sorted.
+    Both are the diagram's own invariants over the couplings with an odd
+    count: the XOR of their x masks (its qubit colours, the state V^{.k}|0>
+    reaches) and the parity of their Y counts (its red parity, the phase
+    class gamma mod 2).  Indices that return to the reference state are
+    skipped: they carry no generator target.  Group insertion order is
+    (order, state, parity); each list is sorted.
     """
-    table_ops = model.operators
+    ops = model.operators
     groups: dict[tuple[int, int], tuple[int, list[MultiIndex]]] = {}
     for k in enumerate_connected(model, k_max):
-        state, gamma = state_and_phase(k, table_ops)
+        state = reds = 0
+        for op, count in zip(ops, k):
+            if count % 2:
+                state ^= op.x_mask
+                reds += op.y_count
         if state == 0:
             continue
-        key = (state, gamma % 2)
+        key = (state, reds % 2)
         entry = groups.get(key)
         if entry is None or k.order < entry[0]:
             groups[key] = (k.order, [k])

@@ -179,7 +179,7 @@ class ThetaEstimator:
         slots = [self.slot_for(k) for k in ks]
         if ansatz is not None:
             _check_parent(ansatz, self.model.n_qubits, self.slots.values())
-        series = _ProductSeries(self, down, ks)
+        series = _ProductSeries(self.table, down, ks, slots)
         thetas = [0.0] * len(ks)
         for _, same_order in groupby(range(len(ks)), key=lambda i: ks[i].order):
             # every lower-order angle is fixed, so at this order the product
@@ -207,7 +207,8 @@ class ThetaEstimator:
             series, fixed = self._series, self._fixed
         else:
             fixed = [f for f in self._fixed if k.dominates(f[0])]
-            series = _ProductSeries(self, set(k.sub_indices()), [f[0] for f in fixed])
+            series = _ProductSeries(self.table, set(k.sub_indices()),
+                                    [f[0] for f in fixed], [f[2] for f in fixed])
         # only strictly lower orders reach k without being k itself
         thetas = [theta if fk.order < k.order else 0.0 for fk, theta, _ in fixed]
         return self._theta_for(k, series.coefficients(thetas).get(k, 0.0))
@@ -235,6 +236,7 @@ class _ProductSeries:
     """Multi-index series of the product state prod_s exp(-i theta_s T_s)|0>
     over the slots in parent-ansatz unit order, where each slot angle is the
     sum of the angles of its indices, truncated to a down-closed index set.
+    ``slots[i]`` is the slot of ``ks[i]``, as the estimator looked it up.
 
     Expanding exp(-i theta_s T_s) over multisets of a slot's indices gives
     one term per reachable sum c, with real coefficient
@@ -246,14 +248,13 @@ class _ProductSeries:
     pairs are built once and every evaluation is a single sweep.
     """
 
-    def __init__(self, est: ThetaEstimator, down: set, ks: Sequence[MultiIndex]):
-        table = est.table
-        self._zero = MultiIndex.zero(est.model.n_couplings)
+    def __init__(self, table: CoefficientTable, down: set,
+                 ks: Sequence[MultiIndex], slots: Sequence[GeneratorSlot]):
+        self._zero = MultiIndex.zero(table.model.n_couplings)
         by_slot: dict[int, list[int]] = {}
-        slots = {}
-        for i, k in enumerate(ks):
-            slot = est.slot_for(k)
-            slots[slot.parent_position] = slot
+        generators = {}
+        for i, slot in enumerate(slots):
+            generators[slot.parent_position] = slot.generator
             by_slot.setdefault(slot.parent_position, []).append(i)
         # per slot, in parent order: {c: [(multiplicities, n), ...]}
         self._slots: list[dict[tuple, list]] = []
@@ -266,7 +267,7 @@ class _ProductSeries:
             for c, sets in terms.items():
                 # the state c reaches fixes the size parity of its multisets
                 if sets[0][1] % 2:
-                    gen = slots[pos].generator
+                    gen = generators[pos]
                     flips[c] = (gen.z_mask, gen.phase_exp - 1)
                 else:
                     flips.setdefault(c, (0, 0))
@@ -301,15 +302,14 @@ class _ProductSeries:
                     w += term
                 if w != 0.0:
                     weights.append((c, w))
-            if not weights:
-                continue
-            new = dict(coeff)
+            # every move reads the coefficients from before this slot
+            moves = {}
             for c, w in weights:
                 for p, q, sign in self._pairs[c]:
                     r = coeff.get(p)
                     if r is not None:
-                        new[q] = new.get(q, 0.0) + sign * w * r
-            coeff = new
+                        moves[q] = moves.get(q, coeff.get(q, 0.0)) + sign * w * r
+            coeff.update(moves)
         return coeff
 
 

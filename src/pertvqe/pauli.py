@@ -142,14 +142,6 @@ class PauliString:
             (self.phase_exp + other.phase_exp + 2 * flips) % 4,
         )
 
-    def dagger(self) -> "PauliString":
-        return PauliString(
-            self.n_qubits,
-            self.x_mask,
-            self.z_mask,
-            (2 * self.y_count - self.phase_exp) % 4,
-        )
-
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n_qubits != other.n_qubits:
             raise ValueError("dimension mismatch")

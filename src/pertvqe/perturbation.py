@@ -5,11 +5,11 @@ it is checked against.
 ``HamiltonianModel.apply`` is the one Hamiltonian apply: the field diagonal
 and each coupling's compiled Pauli action stacked into one gather
 (``HamiltonianModel.gather``), with no matrix built.  The simulator's
-energies and gradients go through it, and ``exact_ground`` runs Lanczos
-over it.  ``dense_hamiltonian`` (capped at 12 qubits) remains for
-``series_residual``, which needs the full spectrum, and for test oracles.
-SciPy's Lanczos is imported inside ``exact_ground``, so the coefficient
-series and everything built on it run without SciPy.
+energies and gradients go through it, and ``exact_ground``, the one exact
+solver, runs Lanczos over it; ``series_residual`` measures the truncated
+series against that ground state.  SciPy's Lanczos is imported inside
+``exact_ground``, so the coefficient series and everything built on it run
+without SciPy.
 
 The Hamiltonian is  H = -sum_n h_n Z_n + sum_b J_b V_b  with Hermitian Pauli
 couplings V_b.  For positive fields the all-zeros basis state is the
@@ -37,7 +37,6 @@ from .pauli import (
     unperturbed_energy,
 )
 
-DENSE_QUBIT_CAP = 12
 _DEGENERACY_TOL = 1e-12
 _LANCZOS_SEED = 0x5EED
 
@@ -379,19 +378,7 @@ def coefficients_to_json(table: CoefficientTable) -> dict:
     }
 
 
-# -- dense oracles -------------------------------------------------------------
-
-
-def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
-    if model.n_qubits > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense construction capped at {DENSE_QUBIT_CAP} qubits")
-    dim = 1 << model.n_qubits
-    rows = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    h[rows, rows] = model.diagonal
-    for c in model.terms:
-        h[rows, c.operator.action.perm] += c.strength * c.operator.factor()
-    return h
+# -- exact reference -------------------------------------------------------------
 
 
 def exact_ground(model: HamiltonianModel) -> tuple[float, np.ndarray]:
@@ -440,20 +427,18 @@ def perturbative_state(
 
 
 def series_residual(model: HamiltonianModel, k_max: int, scale: float) -> float:
-    """1 - |overlap| between the truncated series state and the exact ground
-    state of the rescaled model.
+    """1 - |<g|psi>| between the truncated series state psi and the exact
+    ground state g of the rescaled model (``exact_ground``).
 
-    Computed through the excited-state overlaps, which stays accurate when
-    the residual is far below machine epsilon relative to 1.
+    Computed as the excited-state weight ||psi - <g|psi> g||^2 / (1 + |<g|psi>|),
+    which stays accurate when the residual is far below machine epsilon
+    relative to 1.
     """
-    scaled = model.rescaled(scale)
     psi = perturbative_state(model, k_max, scale)
-    h = dense_hamiltonian(scaled)
-    vals, vecs = np.linalg.eigh(h)
-    overlaps = vecs.conj().T @ psi
-    ground = abs(overlaps[0])
-    tail = float(np.sum(np.abs(overlaps[1:]) ** 2))
-    return tail / (1.0 + ground)
+    _, ground = exact_ground(model.rescaled(scale))
+    overlap = np.vdot(ground, psi)
+    excited = psi - overlap * ground
+    return float(np.vdot(excited, excited).real) / (1.0 + abs(overlap))
 
 
 def factorization_defect(

@@ -68,11 +68,6 @@ def prepare(ansatz: ProductAnsatz, thetas) -> np.ndarray:
     return psi
 
 
-def expectation(psi: np.ndarray, op: PauliString) -> float:
-    value = np.vdot(psi, apply_pauli(psi, op))
-    return float(value.real)
-
-
 def energy(psi: np.ndarray, model: HamiltonianModel) -> float:
     """<psi|H|psi> through the one Hamiltonian apply."""
     return float(np.vdot(psi, model.apply(psi)).real)

@@ -19,7 +19,7 @@ from .ansatz import ProductAnsatz
 from .hierarchy import PriorityList
 from .pauli import unperturbed_energy
 from .perturbation import HamiltonianModel, exact_ground
-from .simulator import basis_state, energy, energy_and_gradient, prepare
+from .simulator import basis_state, energy, energy_and_gradient
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ def optimize(
     """Quasi-Newton minimization of the variational energy with analytic
     gradients.  If the gradient norm stalls above tolerance, up to
     ``restarts`` perturbed re-runs (magnitude 0.1) keep the best result.
+    The start itself is kept when no run goes below it; its energy is the
+    objective's first value, since L-BFGS-B evaluates theta0 first.
     """
     from scipy.optimize import minimize
 
@@ -60,13 +62,16 @@ def optimize(
     if rng is None:
         rng = np.random.default_rng(0)
     evaluations = 0
+    e_start = None
 
     def objective(theta):
-        nonlocal evaluations
+        nonlocal evaluations, e_start
         evaluations += 1
         value, grad = energy_and_gradient(ansatz, theta, model)
         if not np.isfinite(value):
             raise FloatingPointError("non-finite variational energy")
+        if e_start is None:
+            e_start = value
         return value, grad
 
     best = None
@@ -92,7 +97,6 @@ def optimize(
             break
         start = best.theta + 0.1 * rng.standard_normal(best.theta.size)
     # Never report worse than the warm start itself.
-    e_start = energy(prepare(ansatz, theta0), model)
     if e_start < best.energy:
         best = replace(best, theta=theta0, energy=e_start, iterations=total_iters,
                        attempt=0, message="start kept: no run went below it")
@@ -107,6 +111,8 @@ def optimize(
 # factor 1.0003 of it.  From J = 3 (angle 3/4) up the extra starts win steps
 # on at least five of the six hierarchies.
 PERTURBATIVE_ANGLE = 0.25
+# Seeded random starts the full budget adds to each step's warm start.
+MULTISTARTS = 2
 # A warm run that ends within this many L-BFGS-B iterations stalled at its
 # start: the new unit's gradient vanishes there, or the line search fails.
 STALL_ITERATIONS = 2
@@ -188,14 +194,13 @@ def hierarchy_sweep(
     n_p_max: int,
     gtol: float = 1e-9,
     max_iterations: int = 2000,
-    multistarts: int = 2,
     rng: np.random.Generator | None = None,
 ) -> SweepResult:
     """Grow the ansatz one priority-list unit at a time, warm-starting each
     optimization from the previous optimum with the new parameter at zero.
 
     The full budget runs, at each step, the warm start with up to three
-    perturbed reruns plus ``multistarts`` seeded random starts (uniform
+    perturbed reruns plus ``MULTISTARTS`` seeded random starts (uniform
     within a half rotation period) and keeps the best: once couplings are
     strong the warm start alone can lock onto a secondary branch.  When the
     model's ``first_order_angle`` is below ``PERTURBATIVE_ANGLE`` (weaker
@@ -220,14 +225,14 @@ def hierarchy_sweep(
     discarded = None
     if angle < PERTURBATIVE_ANGLE:
         state = rng.bit_generator.state
-        result = _grow(model, plist, n_p_max, gtol, max_iterations, multistarts,
-                       rng, e_ref, perturbative=True)
+        result = _grow(model, plist, n_p_max, gtol, max_iterations, rng, e_ref,
+                       perturbative=True)
         if isinstance(result, SweepResult):
             return replace(result, first_order_angle=angle, budget="perturbative")
         discarded = result
         rng.bit_generator.state = state
-    result = _grow(model, plist, n_p_max, gtol, max_iterations, multistarts,
-                   rng, e_ref, perturbative=False)
+    result = _grow(model, plist, n_p_max, gtol, max_iterations, rng, e_ref,
+                   perturbative=False)
     return replace(result, first_order_angle=angle, discarded_pass=discarded)
 
 
@@ -237,7 +242,6 @@ def _grow(
     n_p_max: int,
     gtol: float,
     max_iterations: int,
-    multistarts: int,
     rng: np.random.Generator,
     e_ref: float,
     perturbative: bool,
@@ -269,7 +273,7 @@ def _grow(
                 evaluations = sum(s.evaluations for s in steps) + runs[0].evaluations
                 return DiscardedPass(n, evaluations, time.perf_counter() - pass_began)
             best, start = runs[0], "warm"
-            for i in range(0 if perturbative else multistarts):
+            for i in range(0 if perturbative else MULTISTARTS):
                 runs.append(optimize(
                     ansatz, model, rng.uniform(-np.pi / 2, np.pi / 2, n),
                     gtol, max_iterations, restarts=0, rng=rng,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pertvqe.pauli import MultiIndex, PauliString, unperturbed_energy
-from pertvqe.perturbation import Coupling, HamiltonianModel, dense_hamiltonian
+from pertvqe.perturbation import Coupling, HamiltonianModel, perturbative_state
+
+DENSE_QUBIT_CAP = 12
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -65,6 +67,31 @@ def two_block_model(rng, left_qubits, right_qubits, n_left, n_right,
                      random_pauli(rng, n, right_qubits))
         )
     return HamiltonianModel(fields, tuple(couplings))
+
+
+def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
+    """The dense 2^n x 2^n matrix of H, capped at ``DENSE_QUBIT_CAP`` qubits:
+    the field diagonal plus each term's compiled action as one entry per
+    row."""
+    if model.n_qubits > DENSE_QUBIT_CAP:
+        raise ValueError(f"dense construction capped at {DENSE_QUBIT_CAP} qubits")
+    dim = 1 << model.n_qubits
+    rows = np.arange(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    h[rows, rows] = model.diagonal
+    for c in model.terms:
+        h[rows, c.operator.action.perm] += c.strength * c.operator.factor()
+    return h
+
+
+def dense_series_residual(model, k_max, scale):
+    """Independent oracle for ``series_residual``: the weight of the truncated
+    series state on the excited eigenvectors of the full dense spectrum,
+    sum_(n>0) |<n|psi>|^2 / (1 + |<0|psi>|)."""
+    psi = perturbative_state(model, k_max, scale)
+    _, vecs = np.linalg.eigh(dense_hamiltonian(model.rescaled(scale)))
+    overlaps = vecs.conj().T @ psi
+    return float(np.sum(np.abs(overlaps[1:]) ** 2)) / (1.0 + abs(overlaps[0]))
 
 
 def dense_ground(model):

@@ -399,13 +399,39 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
      "sweep.max_iterations: true is not an integer"),
     ("hierarchy", {"model": {"type": "tfim", "n_qubits": True}},
      "true is not an integer"),
+    ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4, "h": float("nan")}},
+     "model: nan is not a finite number"),
+    ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4, "j": float("inf")}},
+     "model: inf is not a finite number"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.0],
+                             "couplings": [{"j": float("nan"), "pauli": "XX"}]}},
+     "model: nan is not a finite number"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.0],
+                             "couplings": [{"j": float("inf"), "pauli": "XX"}]}},
+     "model: inf is not a finite number"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, float("-inf")],
+                             "couplings": [{"j": 0.1, "pauli": "XX"}]}},
+     "model: -inf is not a finite number"),
+    ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4, "h": True}},
+     "model: true is not a number"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, False],
+                             "couplings": [{"j": 0.1, "pauli": "XX"}]}},
+     "model: false is not a number"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.0],
+                             "couplings": [{"j": True, "pauli": "XX"}]}},
+     "model: true is not a number"),
+    ("sweep", {"sweep": {"gtol": True}}, "sweep.gtol: true is not a number"),
+    ("sweep", {"sweep": {"j_values": [0.15, True]}}, "sweep.j_values: true is not a number"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
         "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
         "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
         "n_p_max-fraction", "max_iterations-fraction", "n_qubits-fraction",
         "tie_seed-negative", "out-number", "j_values-nan", "gtol-nan", "gtol-negative",
         "max_iterations-zero", "hierarchies-entry-not-a-pair", "tie_seed-false",
-        "k_max-true", "n_p_max-true", "max_iterations-true", "n_qubits-true"])
+        "k_max-true", "n_p_max-true", "max_iterations-true", "n_qubits-true",
+        "tfim-h-nan", "tfim-j-inf", "coupling-j-nan", "coupling-j-inf", "custom-h-inf",
+        "tfim-h-true", "custom-h-false", "coupling-j-true", "gtol-true",
+        "j_values-true"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2

@@ -16,7 +16,7 @@ from pertvqe.pauli import (
 )
 from pertvqe.perturbation import tfim_chain
 
-from conftest import random_pauli
+from conftest import dense_hamiltonian, random_pauli
 
 
 def test_multiply_xy_gives_iz():
@@ -176,7 +176,7 @@ def test_energy_all_flipped():
 
 
 def test_energy_matches_dense_diagonal(rng):
-    from pertvqe.perturbation import dense_hamiltonian, HamiltonianModel
+    from pertvqe.perturbation import HamiltonianModel
 
     fields = tuple(rng.uniform(-1, 1) for _ in range(4))
     model = HamiltonianModel(fields, ())

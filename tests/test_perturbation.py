@@ -11,7 +11,6 @@ from pertvqe.perturbation import (
     DegeneracyError,
     HamiltonianModel,
     coefficients_to_json,
-    dense_hamiltonian,
     exact_ground,
     factorization_defect,
     perturbative_state,
@@ -22,6 +21,8 @@ from pertvqe.perturbation import (
 
 from conftest import (
     dense_ground,
+    dense_hamiltonian,
+    dense_series_residual,
     dyson_vector_states,
     fit_ground_amplitude,
     random_model,
@@ -385,6 +386,22 @@ def test_degenerate_field_raises():
 
 def test_series_residual_vanishes_at_zero_scale():
     assert series_residual(tfim_chain(3, 1.0, 1.0), 3, 0.0) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n, k_max", [(3, 1), (3, 3), (4, 1), (4, 4)])
+def test_series_residual_matches_the_dense_spectrum(n, k_max):
+    # the Lanczos ground state alone gives the excited-state weight the full
+    # dense spectrum gives, down to residuals near 1e-21 (n = 4, k_max 4 at
+    # scale 0.02, criterion 7's smallest point)
+    model = tfim_chain(n, 1.0, 1.0)
+    for scale in (0.02, 0.03, 0.05, 0.07, 0.1):
+        assert series_residual(model, k_max, scale) == pytest.approx(
+            dense_series_residual(model, k_max, scale), rel=1e-5, abs=0.0)
+    for scale in (2.0, 4.0, 8.0):
+        assert series_residual(model, k_max, scale) == pytest.approx(
+            dense_series_residual(model, k_max, scale), rel=1e-12, abs=0.0)
+    assert series_residual(model, k_max, 0.0) == pytest.approx(
+        dense_series_residual(model, k_max, 0.0), abs=1e-14)
 
 
 def test_series_residual_slope():

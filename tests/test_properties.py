@@ -2,14 +2,15 @@
 apply, of multi-index arithmetic against the validating constructor, of the
 real and complex paths of the adjoint gradient (and of the phase-gauge rule
 that picks between them) against independent dense oracles, of the signs
-the coefficient recursion uses against ``relative_sign``, and of parameter
-removal and fixing on layered ansatzes."""
+the coefficient recursion uses against ``relative_sign``, of the
+leading-diagram key against ``state_and_phase`` and ``build_diagram``, and
+of parameter removal and fixing on layered ansatzes."""
 
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pertvqe import simulator
 from pertvqe.ansatz import (
@@ -21,8 +22,9 @@ from pertvqe.ansatz import (
 )
 import pytest
 
+from pertvqe.diagrams import build_diagram, enumerate_connected, enumerate_leading
 from pertvqe.hierarchy import build_priority_list
-from pertvqe.pauli import MultiIndex, PauliString, relative_sign
+from pertvqe.pauli import MultiIndex, PauliString, relative_sign, state_and_phase
 from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel, _sign
 from pertvqe.simulator import (
     apply_pauli,
@@ -282,6 +284,45 @@ def test_tilde_signs_equal_the_relative_sign_oracle(ops, data):
             assert sign == relative_sign(left, right, ops)
             signs.add(sign)
     assert signs == {1.0, -1.0}
+
+
+@st.composite
+def xyz_couplings(draw):
+    """One to four couplings on 2-4 qubits: X/Y/Z strings with odd or even Y
+    counts, and Z-only strings, whose powers all return to |0>."""
+    n = draw(st.integers(2, 4))
+    z_only = st.integers(1, (1 << n) - 1).map(lambda z: PauliString(n, 0, z, 0))
+    return draw(st.lists(st.one_of(z_only, st.booleans().flatmap(
+        lambda odd_y: labels(n, odd_y))), min_size=1, max_size=4))
+
+
+@PROPERTY
+@given(xyz_couplings(), st.integers(1, 4))
+# an XX chain's four-body ladder (1, 2, 1) is leading with an even count;
+# ZZ couplings return every power to |0>
+@example([PauliString.from_label(s) for s in ("XXII", "IXXI", "IIXX")], 4)
+@example([PauliString.from_label(s) for s in ("ZZI", "XIY", "IZZ")], 3)
+def test_leading_key_is_the_phase_and_the_diagram_invariants(ops, k_max):
+    # enumerate_leading keys each group by (reached state, red parity) read
+    # off the couplings' masks; the power's state and phase class, and the
+    # diagram's qubit colours and red parity, are the oracles
+    model = HamiltonianModel((1.0,) * ops[0].n_qubits,
+                             tuple(Coupling(1.0, op) for op in ops))
+    leading = enumerate_leading(model, k_max)
+    members = {k: key for key, ks in leading.items() for k in ks}
+    for k in enumerate_connected(model, k_max):
+        state, gamma = state_and_phase(k, ops)
+        if state == 0:
+            assert k not in members
+            continue
+        key = (state, gamma % 2)
+        diagram = build_diagram(model, k)
+        assert (diagram.qubit_colors, diagram.red_parity) == key
+        # the group holds k exactly when no lower order reaches its key
+        assert leading[key][0].order <= k.order
+        assert (k in members) == (leading[key][0].order == k.order)
+        if k in members:
+            assert members[k] == key
 
 
 def test_factor_is_the_rows_of_i_power_times_the_matrix():

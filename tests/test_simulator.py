@@ -8,7 +8,6 @@ from pertvqe.pauli import PauliString
 from pertvqe.perturbation import (
     Coupling,
     HamiltonianModel,
-    dense_hamiltonian,
     exact_ground,
     tfim_chain,
 )
@@ -25,7 +24,7 @@ from pertvqe.simulator import (
     zero_state,
 )
 
-from conftest import random_model, random_pauli
+from conftest import dense_hamiltonian, random_model, random_pauli
 
 
 def test_rotation_zero_angle_is_identity(rng):

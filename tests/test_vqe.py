@@ -11,7 +11,7 @@ from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from pertvqe.hierarchy import build_priority_list
 from pertvqe.pauli import PauliString
 from pertvqe.perturbation import Coupling, HamiltonianModel, exact_ground, tfim_chain
-from pertvqe.simulator import energy, prepare, zero_state
+from pertvqe.simulator import energy, energy_and_gradient, prepare, zero_state
 from pertvqe.vqe import (
     PERTURBATIVE_ANGLE,
     first_order_angle,
@@ -65,6 +65,32 @@ def test_optimize_never_worse_than_start(rng):
     theta0 = rng.uniform(-1, 1, a.num_params)
     out = optimize(a, model, theta0, max_iterations=3)
     assert out.energy <= energy(prepare(a, theta0), model) + 1e-12
+
+
+def test_optimize_keeps_the_start_from_the_objectives_first_value(monkeypatch):
+    # every run ends above the start: optimize reports theta0 at the value
+    # its objective returned on the first call, with no extra evaluation
+    import scipy.optimize
+
+    model = tfim_chain(3, 1.0, 0.4)
+    a = build_qca(3)
+    theta0 = np.linspace(-0.5, 0.5, a.num_params)
+    calls = []
+
+    def above_the_start(fun, x0, **kwargs):
+        value, grad = fun(x0)
+        calls.append(value)
+        return scipy.optimize.OptimizeResult(
+            x=x0 + 0.1, fun=value + 1.0, jac=np.ones_like(grad), nit=1,
+            message="ended above the start")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", above_the_start)
+    out = optimize(a, model, theta0, restarts=1)
+    assert out.energy == energy_and_gradient(a, theta0, model)[0]
+    assert out.energy == calls[0]
+    assert np.array_equal(out.theta, theta0)
+    assert out.message == "start kept: no run went below it"
+    assert (out.attempt, out.evaluations, out.reruns) == (0, 2, 1)
 
 
 def test_sweep_zero_units_is_baseline_row():
