@@ -28,7 +28,6 @@ from .hierarchy import (
     ThetaEstimate,
     ThetaEstimator,
     build_priority_list,
-    check_generating,
     check_matched,
     estimate_thetas,
     qca_slot,
@@ -36,7 +35,6 @@ from .hierarchy import (
 from .pauli import (
     MultiIndex,
     PauliString,
-    multiply,
     pauli_power,
     relative_sign,
     state_and_phase,
@@ -54,15 +52,12 @@ from .perturbation import (
     tfim_chain,
 )
 from .simulator import (
-    apply_pauli,
     apply_rotation,
     basis_state,
     energy,
     energy_and_gradient,
     fidelity,
-    gradient,
     prepare,
-    zero_state,
 )
 from .vqe import (
     DiscardedPass,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, format_bits, parse_bits
+from .pauli import PauliString
 
 
 @dataclass(frozen=True)
@@ -49,35 +49,6 @@ class ProductAnsatz:
     @property
     def n_units(self) -> int:
         return len(self.units)
-
-    @property
-    def is_ordered(self) -> bool:
-        indices = [u.param_index for u in self.units]
-        return all(a <= b for a, b in zip(indices, indices[1:]))
-
-    def to_json(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "start_state": format_bits(self.start_state, self.n_qubits),
-            "units": [
-                {"pauli": u.generator.to_label(), "scale": u.scale, "param": u.param_index}
-                for u in self.units
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ProductAnsatz":
-        units = tuple(
-            AnsatzUnit(PauliString.from_label(u["pauli"]), u["param"], u.get("scale", 1.0))
-            for u in data["units"]
-        )
-        n_params = 1 + max((u.param_index for u in units), default=-1)
-        return cls(
-            n_qubits=data["n_qubits"],
-            units=units,
-            start_state=parse_bits(data["start_state"]),
-            num_params=n_params,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Rotation-angle estimation with back-action subtraction, generating and
-matched ansatz checks, and priority-list construction.
+"""Rotation-angle estimation with back-action subtraction, the matched
+ansatz check, and priority-list construction.
 
 Each connected leading diagram k ties a target basis state and a phase class
 to one slot generator of a generating ansatz.  An angle is fixed for every
@@ -58,41 +58,11 @@ class GeneratorSlot:
 
 
 @dataclass(frozen=True)
-class GeneratingReport:
-    slots: dict
-    missing: tuple[tuple[int, int], ...]
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing
-
-
-@dataclass(frozen=True)
 class ThetaEstimate:
     slot: GeneratorSlot
     leading_ks: tuple[MultiIndex, ...]
     theta_tilde: float
     j_weight: float
-
-
-def check_generating(ansatz: ProductAnsatz) -> GeneratingReport:
-    """Locate, for every basis state except the start, generators reaching it
-    with phase classes 0 and 1.  Absences are reported, not raised."""
-    if ansatz.start_state != 0:
-        raise ValueError("generating check assumes the all-zeros start state")
-    slots: dict[tuple[int, int], GeneratorSlot] = {}
-    for pos, unit in enumerate(ansatz.units):
-        if unit.scale != 1.0:
-            continue
-        state, phase = unit.generator.apply_to_basis(0)
-        if phase in (0, 1) and (state, phase) not in slots:
-            slots[(state, phase)] = GeneratorSlot(state, phase, unit.generator, pos)
-    missing = []
-    for state in range(1, 1 << ansatz.n_qubits):
-        for a in (0, 1):
-            if (state, a) not in slots:
-                missing.append((state, a))
-    return GeneratingReport(slots=slots, missing=tuple(missing))
 
 
 def check_matched(ansatz: ProductAnsatz) -> bool:

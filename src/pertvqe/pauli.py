@@ -112,11 +112,6 @@ class PauliString:
         return self.x_mask == 0 and self.z_mask == 0 and self.phase_exp == 0
 
     @property
-    def is_hermitian(self) -> bool:
-        # i^p X^x Z^z is Hermitian iff p and the Y count agree mod 2.
-        return (self.phase_exp - self.y_count) % 2 == 0
-
-    @property
     def is_basis_element(self) -> bool:
         """True for the positive Hermitian tensor product (no sign, no i)."""
         return (self.phase_exp - self.y_count) % 4 == 0
@@ -214,11 +209,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.to_label()
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact operator product ``p @ q`` with full phase bookkeeping."""
-    return p * q
 
 
 class MultiIndex(tuple):
@@ -359,13 +349,3 @@ def support(k: Sequence[int], couplings: Sequence[PauliString]) -> frozenset[int
 def format_bits(bits: int, n_qubits: int) -> str:
     """Render a basis state with qubit 0 leftmost, e.g. 6 on 4 qubits -> '0110'."""
     return "".join("1" if (bits >> q) & 1 else "0" for q in range(n_qubits))
-
-
-def parse_bits(text: str) -> int:
-    bits = 0
-    for q, ch in enumerate(text):
-        if ch not in "01":
-            raise ValueError(f"not a basis state label: {text!r}")
-        if ch == "1":
-            bits |= 1 << q
-    return bits

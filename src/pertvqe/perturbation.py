@@ -33,7 +33,6 @@ from .pauli import (
     PauliString,
     format_bits,
     iter_orders,
-    pauli_power,
     unperturbed_energy,
 )
 
@@ -117,8 +116,14 @@ class HamiltonianModel:
         when every term has an even Y count, else complex128."""
         perms = np.array([np.arange(1 << self.n_qubits)]
                          + [t.operator.action.perm for t in self.terms])
-        return perms, np.array([self.diagonal]
-                               + [t.strength * t.operator.factor() for t in self.terms])
+        return perms, self._gauged_factors(0)
+
+    def _gauged_factors(self, c: int) -> np.ndarray:
+        """The factor rows F of ``gather`` with every term conjugated by the
+        phase gauge c (``PauliString.gauged``); a gauge keeps each x mask,
+        so P is unchanged.  c = 0 gives the ungauged F."""
+        return np.array([self.diagonal] + [t.strength * t.operator.gauged(c).factor()
+                                           for t in self.terms])
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H|psi>, the one Hamiltonian apply, through the stacked ``gather``;
@@ -217,7 +222,13 @@ class CoefficientTable:
     # -- pauli bookkeeping, memoized ----------------------------------------
     @_memoized
     def power(self, k: Sequence[int]) -> PauliString:
-        return pauli_power(k, self._ops)
+        """V^{.k} (``pauli_power``) as one product with the memoized power one
+        application below: the highest coupling with a nonzero count acts
+        last, and V_top^2 = 1 when its count is even."""
+        top = max((b for b, count in enumerate(k) if count), default=None)
+        if top is None:
+            return PauliString.identity(self.model.n_qubits)
+        return self._ops[top] * self.power(k.decrement(top))
 
     def state_phase(self, k: Sequence[int]) -> tuple[int, int]:
         # V^{.k}|0> = i^p |x>: no Z factor acts on the all-zeros state
@@ -354,28 +365,8 @@ class CoefficientTable:
             total += (1.0 if diff == 0 else -1.0) * norm * ct
         return total
 
-    # -- export ---------------------------------------------------------------
-    def fill(self) -> None:
-        for k in iter_orders(self.model.n_couplings, self.max_order):
-            self.tilde(k)
-
     def known(self) -> dict[MultiIndex, float]:
         return dict(self._memos["tilde"])
-
-
-def coefficients_to_json(table: CoefficientTable) -> dict:
-    """Dump known tilde coefficients keyed by comma-separated multi-index."""
-    return {
-        "h": list(table.model.fields),
-        "couplings": [
-            {"j": c.strength, "pauli": c.operator.to_label()}
-            for c in table.model.couplings
-        ],
-        "max_order": table.max_order,
-        "tilde": {
-            ",".join(str(c) for c in k): v for k, v in sorted(table.known().items())
-        },
-    }
 
 
 # -- exact reference -------------------------------------------------------------
@@ -432,7 +423,10 @@ def series_residual(model: HamiltonianModel, k_max: int, scale: float) -> float:
 
     Computed as the excited-state weight ||psi - <g|psi> g||^2 / (1 + |<g|psi>|),
     which stays accurate when the residual is far below machine epsilon
-    relative to 1.
+    relative to 1.  Its floor is g's own rounding: Lanczos leaves about eps
+    in every amplitude, which moves an excited weight w by about
+    eps * sqrt(w).  At n = 3, k_max 4 and scale 0.02 on the J = 1 TFIM chain
+    (w = 1.56e-22) the result is 1.5e-5 relative off a 50-digit reference.
     """
     psi = perturbative_state(model, k_max, scale)
     _, ground = exact_ground(model.rescaled(scale))

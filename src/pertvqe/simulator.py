@@ -14,8 +14,8 @@ then its one adjoint pass runs on ``float64`` states.  The gauge is a
 product of S gates, applied to each string's masks (``PauliString.gauged``).
 Every generator with an odd Y count and every coupling with an even one
 need no gauge; the XY chain needs one.  The pass is compiled once per
-(ansatz, model) pair.  ``apply_pauli`` and ``energy`` keep a real state real
-when the operator they apply is real.
+(ansatz, model) pair.  ``PauliString.apply`` and ``energy`` keep a real
+state real when the operator they apply is real.
 """
 
 from __future__ import annotations
@@ -32,20 +32,12 @@ from .perturbation import HamiltonianModel
 QUBIT_CAP = 14
 
 
-def zero_state(n_qubits: int) -> np.ndarray:
-    return basis_state(n_qubits, 0)
-
-
 def basis_state(n_qubits: int, bits: int) -> np.ndarray:
     if n_qubits > QUBIT_CAP:
         raise ValueError(f"statevector engine capped at {QUBIT_CAP} qubits")
     psi = np.zeros(1 << n_qubits, dtype=complex)
     psi[bits] = 1.0
     return psi
-
-
-def apply_pauli(psi: np.ndarray, op: PauliString) -> np.ndarray:
-    return op.apply(psi)
 
 
 def apply_rotation(
@@ -73,44 +65,16 @@ def energy(psi: np.ndarray, model: HamiltonianModel) -> float:
     return float(np.vdot(psi, model.apply(psi)).real)
 
 
-def gradient(ansatz: ProductAnsatz, thetas, model: HamiltonianModel) -> np.ndarray:
-    """dE/dtheta via the shift rule, unit by unit.
-
-    A unit's rotation angle a = scale * theta satisfies
-    dE/da = E(a + pi/4) - E(a - pi/4) exactly, so
-    dE/dtheta = scale * (E(a + pi/4) - E(a - pi/4)); shared parameter
-    indices accumulate by the product rule.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    grad = np.zeros(ansatz.num_params)
-    for pos, unit in enumerate(ansatz.units):
-        if unit.scale == 0.0:
-            continue
-        shift = np.pi / (4 * unit.scale)
-        e_plus = _energy_with_unit_shift(ansatz, thetas, model, pos, shift)
-        e_minus = _energy_with_unit_shift(ansatz, thetas, model, pos, -shift)
-        grad[unit.param_index] += unit.scale * (e_plus - e_minus)
-    return grad
-
-
-def _energy_with_unit_shift(ansatz, thetas, model, pos, shift) -> float:
-    psi = basis_state(ansatz.n_qubits, ansatz.start_state)
-    for i, unit in enumerate(ansatz.units):
-        angle = thetas[unit.param_index] + (shift if i == pos else 0.0)
-        psi = apply_rotation(psi, unit.generator, angle, unit.scale)
-    return energy(psi, model)
-
-
 def energy_and_gradient(
     ansatz: ProductAnsatz, thetas, model: HamiltonianModel
 ) -> tuple[float, np.ndarray]:
     """Energy plus the full gradient from one forward and one backward pass
     (the adjoint method of Jones & Gacon, arXiv:2009.02823).
 
-    Matches ``gradient`` to machine precision while costing O(n_units)
-    rotation applications instead of O(n_units^2); this is the path the
-    optimizer calls.  A unit is exp(a R), R = i * T, a = scale * theta; R is
-    anti-Hermitian, so one R lam gives both the gradient term
+    It costs O(n_units) rotation applications, where the shift rule costs
+    O(n_units^2); this is the path the optimizer calls.  A unit is exp(a R),
+    R = i * T, a = scale * theta; R is anti-Hermitian, so one R lam gives
+    both the gradient term
     2 * scale * Re<lam|R psi_(i+1)> = -2 * scale * Re<R lam|psi_(i+1)> and
     the un-rotation of lam.  States are float64 when a phase gauge makes R
     and H real.
@@ -187,12 +151,12 @@ def _compile(ansatz: ProductAnsatz, model: HamiltonianModel) -> _Circuit:
     state |s> only picks up the global phase conj(omega(s)), which drops out
     of E and its gradient.  A gauge keeps each x mask, so every unit and H
     gather through the ungauged perms, and with c = 0 a unit whose R is
-    real uses its string's own ``action.real``."""
+    real uses its string's own ``action.real`` and H the model's cached
+    ``gather`` rows."""
     c = _phase_gauge(ansatz, model) or 0
     rotations = tuple((u.generator.action.perm, u.generator.gauged(c).factor(1))
                       for u in ansatz.units)
-    h_factors = np.array([model.diagonal] + [t.strength * t.operator.gauged(c).factor()
-                                             for t in model.terms])
+    h_factors = model._gauged_factors(c) if c else model.gather[1]
     dtype = np.result_type(h_factors, *(f for _, f in rotations))
     start = basis_state(ansatz.n_qubits, ansatz.start_state).real.astype(dtype)
     return _Circuit(start, rotations, model.gather[0], h_factors)

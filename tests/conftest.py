@@ -1,10 +1,15 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from pertvqe.ansatz import ProductAnsatz
+from pertvqe.hierarchy import GeneratorSlot
 from pertvqe.pauli import MultiIndex, PauliString, unperturbed_energy
 from pertvqe.perturbation import Coupling, HamiltonianModel, perturbative_state
+from pertvqe.simulator import apply_rotation, basis_state, energy
 
 DENSE_QUBIT_CAP = 12
 
@@ -82,6 +87,68 @@ def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
     for c in model.terms:
         h[rows, c.operator.action.perm] += c.strength * c.operator.factor()
     return h
+
+
+def shift_rule_gradient(
+    ansatz: ProductAnsatz, thetas, model: HamiltonianModel
+) -> np.ndarray:
+    """Independent oracle for the gradient of ``energy_and_gradient``:
+    dE/dtheta via the shift rule, unit by unit, at O(n_units^2) rotations.
+
+    A unit's rotation angle a = scale * theta satisfies
+    dE/da = E(a + pi/4) - E(a - pi/4) exactly, so
+    dE/dtheta = scale * (E(a + pi/4) - E(a - pi/4)); shared parameter
+    indices accumulate by the product rule.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    grad = np.zeros(ansatz.num_params)
+    for pos, unit in enumerate(ansatz.units):
+        if unit.scale == 0.0:
+            continue
+        shift = np.pi / (4 * unit.scale)
+        e_plus = _energy_with_unit_shift(ansatz, thetas, model, pos, shift)
+        e_minus = _energy_with_unit_shift(ansatz, thetas, model, pos, -shift)
+        grad[unit.param_index] += unit.scale * (e_plus - e_minus)
+    return grad
+
+
+def _energy_with_unit_shift(ansatz, thetas, model, pos, shift) -> float:
+    psi = basis_state(ansatz.n_qubits, ansatz.start_state)
+    for i, unit in enumerate(ansatz.units):
+        angle = thetas[unit.param_index] + (shift if i == pos else 0.0)
+        psi = apply_rotation(psi, unit.generator, angle, unit.scale)
+    return energy(psi, model)
+
+
+@dataclass(frozen=True)
+class GeneratingReport:
+    slots: dict
+    missing: tuple[tuple[int, int], ...]
+
+    @property
+    def complete(self) -> bool:
+        return not self.missing
+
+
+def check_generating(ansatz: ProductAnsatz) -> GeneratingReport:
+    """Independent oracle for ``qca_slot``: scan the ansatz for the first
+    unit reaching each basis state except the start with phase class 0 and
+    with phase class 1.  Absences are reported, not raised."""
+    if ansatz.start_state != 0:
+        raise ValueError("generating check assumes the all-zeros start state")
+    slots: dict[tuple[int, int], GeneratorSlot] = {}
+    for pos, unit in enumerate(ansatz.units):
+        if unit.scale != 1.0:
+            continue
+        state, phase = unit.generator.apply_to_basis(0)
+        if phase in (0, 1) and (state, phase) not in slots:
+            slots[(state, phase)] = GeneratorSlot(state, phase, unit.generator, pos)
+    missing = []
+    for state in range(1, 1 << ansatz.n_qubits):
+        for a in (0, 1):
+            if (state, a) not in slots:
+                missing.append((state, a))
+    return GeneratingReport(slots=slots, missing=tuple(missing))
 
 
 def dense_series_residual(model, k_max, scale):

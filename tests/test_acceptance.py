@@ -27,7 +27,7 @@ from pertvqe.perturbation import (
     residual_slope,
     tfim_chain,
 )
-from pertvqe.simulator import best_fidelity, energy, gradient, prepare
+from pertvqe.simulator import best_fidelity, energy, energy_and_gradient, prepare
 from pertvqe.vqe import hierarchy_sweep
 
 from conftest import two_block_model
@@ -414,7 +414,7 @@ def test_criterion_11_spanning_and_gradients():
     model = tfim_chain(3, 1.0, 0.7)
     a = build_qca(3)
     theta = rng.uniform(-0.8, 0.8, a.num_params)
-    g = gradient(a, theta, model)
+    g = energy_and_gradient(a, theta, model)[1]
     step = 1e-5
     worst_grad = 0.0
     for i in range(a.num_params):

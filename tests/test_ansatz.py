@@ -37,7 +37,7 @@ def test_qca_parameter_count():
         qca = build_qca(n)
         assert qca.num_params == 2 * (2**n - 1)
         assert qca.n_units == qca.num_params
-        assert qca.is_ordered
+        assert [u.param_index for u in qca.units] == list(range(qca.num_params))
 
 
 def test_qca_two_qubits_generator_multiset():
@@ -322,18 +322,6 @@ def test_yyx_area_double_cover():
         points_per_axis=(4, 700, 4),
     )
     assert area == pytest.approx(np.pi**2, abs=1e-3)
-
-
-# -- serialization ------------------------------------------------------------------------------
-
-
-def test_ansatz_json_round_trip():
-    a = fix_parameter(yyx_ansatz(), 0, 1, -0.5)
-    data = a.to_json()
-    back = ProductAnsatz.from_json(data)
-    assert back.n_qubits == a.n_qubits
-    assert back.start_state == a.start_state
-    assert back.units == a.units
 
 
 def test_unit_validation():

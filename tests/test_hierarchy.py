@@ -9,7 +9,6 @@ from pertvqe.hierarchy import (
     PriorityList,
     ThetaEstimator,
     build_priority_list,
-    check_generating,
     check_matched,
     duplication_defect,
     estimate_thetas,
@@ -19,7 +18,12 @@ from pertvqe.hierarchy import (
 from pertvqe.pauli import MultiIndex, PauliString, format_bits
 from pertvqe.perturbation import Coupling, HamiltonianModel, tfim_chain
 
-from conftest import dense_angle_oracle, even_sector_generators, two_block_model
+from conftest import (
+    check_generating,
+    dense_angle_oracle,
+    even_sector_generators,
+    two_block_model,
+)
 
 
 # -- generating / matched checks -------------------------------------------------------
@@ -254,11 +258,12 @@ def test_size_extensive_duplication():
     assert not any(any(k[:3]) and any(k[3:]) for k, _, _ in est_double._fixed)
 
 
-def test_eight_site_chain_doubled_to_sixteen_qubits_is_size_extensive():
-    single = tfim_chain(8, 1.0, 0.3)
-    doubled = HamiltonianModel((1.0,) * 16, tuple(
-        Coupling(0.3, PauliString.from_ops(16, {q: "X", q + 1: "X"}))
-        for q in (*range(7), *range(8, 15))
+@pytest.mark.parametrize("n", [8, 16])
+def test_chain_doubled_is_size_extensive(n):
+    single = tfim_chain(n, 1.0, 0.3)
+    doubled = HamiltonianModel((1.0,) * (2 * n), tuple(
+        Coupling(0.3, PauliString.from_ops(2 * n, {q: "X", q + 1: "X"}))
+        for q in (*range(n - 1), *range(n, 2 * n - 1))
     ))
     assert duplication_defect(single, doubled) == (pytest.approx(0.0, abs=1e-10), 0)
 
@@ -269,23 +274,55 @@ def test_eight_site_chain_doubled_to_sixteen_qubits_is_size_extensive():
 ])
 def test_long_chains_are_size_extensive(k_max, counts, shapes):
     # J = 0.15 chains of 16, 32 and 64 sites: the slot count grows linearly
-    # (3n - 6 at k_max 3, 5n - 13 at k_max 4), and the slots at least
-    # k_max + 1 sites from both ends take one angle per shape, the same bit
-    # for bit at every position and every n
-    bulk: dict[str, set[float]] = {}
+    # (3n - 6 at k_max 3, 5n - 13 at k_max 4), each shape sits at every
+    # position along the chain, and every slot of a shape, chain ends
+    # included, takes one angle, the same bit for bit at every n
+    angles: dict[str, set[float]] = {}
     for n, count in zip((16, 32, 64), counts):
         estimates = estimate_thetas(tfim_chain(n, 1.0, 0.15), None, k_max)
         assert len(estimates) == count
-        seen = set()
+        positions: dict[str, set[int]] = {}
         for e in estimates:
             sup = sorted(e.slot.generator.support())
             lo, hi = sup[0], sup[-1]
-            if lo > k_max and n - 1 - hi > k_max:
-                shape = e.slot.generator.to_label()[lo:hi + 1]
-                seen.add(shape)
-                bulk.setdefault(shape, set()).add(e.theta_tilde)
-        assert seen == shapes
-    assert all(len(thetas) == 1 for thetas in bulk.values()), bulk
+            shape = e.slot.generator.to_label()[lo:hi + 1]
+            positions.setdefault(shape, set()).add(lo)
+            angles.setdefault(shape, set()).add(e.theta_tilde)
+        assert {shape: len(at) for shape, at in positions.items()} == {
+            shape: n - len(shape) + 1 for shape in shapes}
+    assert all(len(thetas) == 1 for thetas in angles.values()), angles
+
+
+def disordered_xx_chain(fields, couplings) -> HamiltonianModel:
+    n = len(fields)
+    return HamiltonianModel(tuple(fields), tuple(
+        Coupling(float(j), PauliString.from_ops(n, {q: "X", q + 1: "X"}))
+        for q, j in enumerate(couplings)
+    ))
+
+
+@pytest.mark.parametrize("k_max", [4, 5])
+def test_slot_angles_depend_only_on_the_parameters_inside_their_support(k_max):
+    # a 32-site XX chain with seeded disorder; from site 16 on, every field
+    # and every coupling touching those sites is drawn again: no slot on
+    # sites 0-15 moves beyond rounding, and slots past the cut do move
+    n, cut = 32, 16
+    rng = np.random.default_rng(7)
+    h, j = rng.uniform(0.8, 1.2, n), rng.uniform(0.1, 0.2, n - 1)
+    h2, j2 = h.copy(), j.copy()
+    h2[cut:] = rng.uniform(0.8, 1.2, n - cut)
+    j2[cut - 1:] = rng.uniform(0.1, 0.2, n - cut)
+    before, after = (
+        {(e.slot.state, e.slot.a): e.theta_tilde
+         for e in estimate_thetas(disordered_xx_chain(fields, couplings), None, k_max)}
+        for fields, couplings in ((h, j), (h2, j2))
+    )
+    assert before.keys() == after.keys()
+    left = [key for key in before if key[0] < 1 << cut]
+    assert len(left) == {4: 67, 5: 102}[k_max]
+    for key in left:
+        assert after[key] == pytest.approx(before[key], rel=1e-14, abs=0)
+    assert all(after[key] != before[key] for key in before if key[0] >> cut)
 
 
 def test_duplication_defect_reports_unequal_copies_and_a_bridge():

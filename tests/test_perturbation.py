@@ -1,4 +1,3 @@
-import json
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,6 @@ from pertvqe.perturbation import (
     Coupling,
     DegeneracyError,
     HamiltonianModel,
-    coefficients_to_json,
     exact_ground,
     factorization_defect,
     perturbative_state,
@@ -154,7 +152,8 @@ def test_known_keys_are_multi_indices():
                          ids=["negative", "short", "short-zero", "long", "fraction"])
 def test_invalid_key_raises_on_first_lookup(series, key):
     table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
-    table.fill()
+    for k in iter_orders(3, 4):
+        table.tilde(k)
     with pytest.raises(ValueError):
         getattr(table, series)(key)
 
@@ -422,18 +421,6 @@ def test_series_residual_slope_low_truncation():
 
 
 # -- plumbing -----------------------------------------------------------------------------
-
-
-def test_coefficient_dump_round_trip():
-    model = tfim_chain(3, 1.0, 0.4)
-    table = CoefficientTable(model, 2)
-    table.fill()
-    payload = coefficients_to_json(table)
-    text = json.dumps(payload, sort_keys=True)
-    back = json.loads(text)
-    assert back["max_order"] == 2
-    assert back["tilde"]["1,0"] == pytest.approx(-0.25)
-    assert back["couplings"][0]["pauli"] == "XXI"
 
 
 def test_model_validation():

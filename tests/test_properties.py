@@ -2,8 +2,9 @@
 apply, of multi-index arithmetic against the validating constructor, of the
 real and complex paths of the adjoint gradient (and of the phase-gauge rule
 that picks between them) against independent dense oracles, of the signs
-the coefficient recursion uses against ``relative_sign``, of the
-leading-diagram key against ``state_and_phase`` and ``build_diagram``, and
+the coefficient recursion uses against ``relative_sign``, of its memoized
+coupling powers against ``pauli_power``, of the leading-diagram key
+against ``state_and_phase`` and ``build_diagram``, and
 of parameter removal and fixing on layered ansatzes."""
 
 from itertools import combinations
@@ -24,15 +25,17 @@ import pytest
 
 from pertvqe.diagrams import build_diagram, enumerate_connected, enumerate_leading
 from pertvqe.hierarchy import build_priority_list
-from pertvqe.pauli import MultiIndex, PauliString, relative_sign, state_and_phase
-from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel, _sign
-from pertvqe.simulator import (
-    apply_pauli,
-    energy,
-    energy_and_gradient,
-    gradient,
-    prepare,
+from pertvqe.pauli import (
+    MultiIndex,
+    PauliString,
+    pauli_power,
+    relative_sign,
+    state_and_phase,
 )
+from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel, _sign
+from pertvqe.simulator import energy, energy_and_gradient, prepare
+
+from conftest import shift_rule_gradient
 
 PROPERTY = settings(deadline=None, max_examples=40)
 
@@ -127,7 +130,7 @@ def energy_gradient_and_path(ansatz, theta, model):
 
 def assert_matches_oracles(ansatz, theta, model, value, grad):
     assert abs(value - energy(prepare(ansatz, theta), model)) <= 1e-12
-    assert np.max(np.abs(grad - gradient(ansatz, theta, model))) <= 1e-12
+    assert np.max(np.abs(grad - shift_rule_gradient(ansatz, theta, model))) <= 1e-12
 
 
 def gauge_exists(ansatz, model):
@@ -186,7 +189,7 @@ def test_compiled_action_matches_dense_matrix(op, seed, real):
     psi = rng.standard_normal(1 << op.n_qubits)
     if not real:
         psi = psi + 1j * rng.standard_normal(psi.size)
-    out = apply_pauli(psi, op)
+    out = op.apply(psi)
     assert np.allclose(out, op.to_matrix() @ psi, rtol=0, atol=1e-15)
     # a real state stays real exactly when the string's phase is real
     assert (out.dtype == np.float64) == (real and op.phase_exp % 2 == 0)
@@ -198,7 +201,7 @@ def test_compiled_action_is_bit_identical_to_scatter(op, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << op.n_qubits
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    assert np.array_equal(apply_pauli(psi, op), scatter_apply(psi, op))
+    assert np.array_equal(op.apply(psi), scatter_apply(psi, op))
 
 
 def index_pairs():
@@ -284,6 +287,21 @@ def test_tilde_signs_equal_the_relative_sign_oracle(ops, data):
             assert sign == relative_sign(left, right, ops)
             signs.add(sign)
     assert signs == {1.0, -1.0}
+
+
+@PROPERTY
+@given(anticommuting_couplings(), st.data())
+def test_memoized_powers_equal_pauli_power(ops, data):
+    # power multiplies the top coupling onto the memoized power one unit
+    # below, whatever order the lookups come in; pauli_power starts afresh
+    n = ops[0].n_qubits
+    table = CoefficientTable(HamiltonianModel((1.0,) * n, tuple(
+        Coupling(1.0, op) for op in ops)), 6)
+    indices = st.lists(st.integers(0, 3), min_size=len(ops), max_size=len(ops))
+    for k in data.draw(st.lists(indices, min_size=1, max_size=6)):
+        assert table.power(k) == pauli_power(k, ops)
+    for k, power in table._memos["power"].items():
+        assert power == pauli_power(k, ops)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from pertvqe.hierarchy import build_priority_list
 from pertvqe.pauli import PauliString
 from pertvqe.perturbation import Coupling, HamiltonianModel, exact_ground, tfim_chain
-from pertvqe.simulator import energy, energy_and_gradient, prepare, zero_state
+from pertvqe.simulator import basis_state, energy, energy_and_gradient, prepare
 from pertvqe.vqe import (
     PERTURBATIVE_ANGLE,
     first_order_angle,
@@ -26,7 +26,7 @@ def test_optimize_zero_parameter_ansatz():
     model = tfim_chain(3, 1.0, 0.4)
     a = ProductAnsatz(3, (), 0, 0)
     out = optimize(a, model, [])
-    assert out.energy == pytest.approx(energy(zero_state(3), model))
+    assert out.energy == pytest.approx(energy(basis_state(3, 0), model))
     assert out.converged
 
 
@@ -102,7 +102,7 @@ def test_sweep_zero_units_is_baseline_row():
     assert row.n_params == 0
     e_ref, _ = exact_ground(model)
     assert row.epsilon == pytest.approx(
-        (energy(zero_state(3), model) - e_ref) / abs(e_ref)
+        (energy(basis_state(3, 0), model) - e_ref) / abs(e_ref)
     )
 
 
