@@ -162,18 +162,21 @@ def build_qca(n_qubits: int) -> ProductAnsatz:
     return spec.build()
 
 
+def _drop_parameters(ansatz: ProductAnsatz, dropped: set[int]) -> ProductAnsatz:
+    """Delete every unit carrying a dropped parameter and renumber the
+    remaining parameters in their old order."""
+    kept = [p for p in range(ansatz.num_params) if p not in dropped]
+    index = {p: n for n, p in enumerate(kept)}
+    units = tuple(replace(u, param_index=index[u.param_index])
+                  for u in ansatz.units if u.param_index in index)
+    return ProductAnsatz(ansatz.n_qubits, units, ansatz.start_state, len(kept))
+
+
 def remove_parameter(ansatz: ProductAnsatz, index: int) -> ProductAnsatz:
     """Delete every unit carrying the parameter and compact the indices."""
     if not 0 <= index < ansatz.num_params:
         raise ValueError(f"parameter {index} out of range")
-    units = []
-    for u in ansatz.units:
-        if u.param_index == index:
-            continue
-        shift = 1 if u.param_index > index else 0
-        units.append(replace(u, param_index=u.param_index - shift))
-    return ProductAnsatz(ansatz.n_qubits, tuple(units), ansatz.start_state,
-                         ansatz.num_params - 1)
+    return _drop_parameters(ansatz, {index})
 
 
 def fix_parameter(ansatz: ProductAnsatz, i: int, j: int, c: float) -> ProductAnsatz:
@@ -184,16 +187,9 @@ def fix_parameter(ansatz: ProductAnsatz, i: int, j: int, c: float) -> ProductAns
     for idx in (i, j):
         if not 0 <= idx < ansatz.num_params:
             raise ValueError(f"parameter {idx} out of range")
-    units = []
-    for u in ansatz.units:
-        if u.param_index == i:
-            target = j if j < i else j - 1
-            units.append(replace(u, param_index=target, scale=u.scale * c))
-        else:
-            shift = 1 if u.param_index > i else 0
-            units.append(replace(u, param_index=u.param_index - shift))
-    return ProductAnsatz(ansatz.n_qubits, tuple(units), ansatz.start_state,
-                         ansatz.num_params - 1)
+    tied = tuple(replace(u, param_index=j, scale=u.scale * c) if u.param_index == i else u
+                 for u in ansatz.units)
+    return _drop_parameters(replace(ansatz, units=tied), {i})
 
 
 def respects_conjugation(generator: PauliString) -> bool:
@@ -204,92 +200,26 @@ def respects_conjugation(generator: PauliString) -> bool:
 
 def enforce_conjugation(ansatz: ProductAnsatz) -> ProductAnsatz:
     """Remove every parameter whose units break conjugation symmetry."""
-    bad = sorted(
-        {u.param_index for u in ansatz.units if not respects_conjugation(u.generator)},
-        reverse=True,
-    )
-    for index in bad:
-        ansatz = remove_parameter(ansatz, index)
-    return ansatz
+    return _drop_parameters(ansatz, {
+        u.param_index for u in ansatz.units if not respects_conjugation(u.generator)
+    })
 
 
-class SymmetryFixError(ValueError):
-    """Fix-mode symmetry enforcement has no usable null vector."""
+def enforce_symmetry(ansatz: ProductAnsatz, symmetry: PauliString) -> ProductAnsatz:
+    """Remove every parameter owning a generator that anticommutes with the
+    Pauli symmetry S, so every kept unit commutes with S.
 
-
-def enforce_symmetry(
-    ansatz: ProductAnsatz, symmetry: PauliString, mode: str = "remove"
-) -> ProductAnsatz:
-    """Constrain the ansatz to commute with a Pauli symmetry.
-
-    remove-mode deletes every parameter owning a generator that anticommutes
-    with the symmetry.  fix-mode instead ties the offending parameters
-    together with scale coefficients solving
-    sum_m c_m [S, T_m] = 0, moving the tied units adjacent to the first
-    offender; the offending generators must commute pairwise.
+    Tying the offending units to one angle instead keeps no direction: for
+    anticommuting T_m, sum_m c_m [S, T_m] = 2 S sum_m c_m T_m vanishes only
+    if sum_m c_m T_m = 0, so a block of commuting tied units is the
+    identity.  A tie that moves the state needs a symmetry that is a sum
+    of Pauli strings.
     """
     if symmetry.n_qubits != ansatz.n_qubits:
         raise ValueError("symmetry qubit count mismatch")
-    offending = sorted(
-        {
-            u.param_index
-            for u in ansatz.units
-            if not u.generator.commutes_with(symmetry)
-        }
-    )
-    if not offending:
-        return ansatz
-    if mode == "remove":
-        for index in reversed(offending):
-            ansatz = remove_parameter(ansatz, index)
-        return ansatz
-    if mode != "fix":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    bad_units = [u for u in ansatz.units if u.param_index in offending]
-    for a, b in itertools.combinations(bad_units, 2):
-        if not a.generator.commutes_with(b.generator):
-            raise SymmetryFixError(
-                "offending generators do not commute; cannot fix"
-            )
-    # Null vector of sum_m c_m (S T_m): columns are parameters, rows index
-    # the distinct product strings (complex coefficients split re/im).
-    strings: dict[tuple[int, int], int] = {}
-    for u in bad_units:
-        key = ((symmetry * u.generator).x_mask, (symmetry * u.generator).z_mask)
-        strings.setdefault(key, len(strings))
-    mat = np.zeros((2 * len(strings), len(offending)), dtype=float)
-    col = {p: c for c, p in enumerate(offending)}
-    for u in bad_units:
-        prod = symmetry * u.generator
-        row = strings[(prod.x_mask, prod.z_mask)]
-        val = (1j ** prod.phase_exp) * u.scale
-        mat[2 * row, col[u.param_index]] += val.real
-        mat[2 * row + 1, col[u.param_index]] += val.imag
-    _, sing, vt = np.linalg.svd(mat)
-    if len(offending) == 1 or (len(sing) >= len(offending) and sing[-1] > 1e-10):
-        raise SymmetryFixError("no nontrivial null vector; symmetry cannot be fixed")
-    null = vt[-1]
-    pivot = next(i for i, v in enumerate(null) if abs(v) > 1e-12)
-    coeffs = null / null[pivot]
-    base = offending[pivot]
-    # Rescale and retie; then regroup tied units next to the first offender.
-    scaled = []
-    for u in ansatz.units:
-        if u.param_index in col and u.param_index != base:
-            u = replace(u, scale=u.scale * float(coeffs[col[u.param_index]]),
-                        param_index=base)
-        scaled.append(u)
-    tied = [u for u in scaled if u.param_index == base]
-    first = next(i for i, u in enumerate(scaled) if u.param_index == base)
-    insert_at = sum(1 for u in scaled[:first] if u.param_index != base)
-    rest = [u for u in scaled if u.param_index != base]
-    reordered = rest[:insert_at] + tied + rest[insert_at:]
-    remap = {}
-    for u in reordered:
-        remap.setdefault(u.param_index, len(remap))
-    units = tuple(replace(u, param_index=remap[u.param_index]) for u in reordered)
-    return ProductAnsatz(ansatz.n_qubits, units, ansatz.start_state, len(remap))
+    return _drop_parameters(ansatz, {
+        u.param_index for u in ansatz.units if not u.generator.commutes_with(symmetry)
+    })
 
 
 # -- manifold geometry ----------------------------------------------------------

@@ -274,6 +274,9 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
             f"sweep runs on the statevector engine, capped at {QUBIT_CAP} "
             f"qubits; the model has {cfg.model.n_qubits}"
         )
+    if cfg.model.n_qubits < 2 and not cfg.model.is_real:
+        raise ConfigError("the sweep's Lanczos reference needs at least 2 qubits for "
+                          f"a complex Hamiltonian; the model has {cfg.model.n_qubits}")
     if not cfg.model.couplings or cfg.model.strengths[0] == 0.0:
         raise ConfigError("sweep rescales coupling 0 to each j_value; it must be nonzero")
     plists = _sweep_lists(cfg)

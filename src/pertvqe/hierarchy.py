@@ -111,9 +111,8 @@ class ThetaEstimator:
         self, model: HamiltonianModel, ansatz: ProductAnsatz | None, k_max: int
     ):
         self.model = model
-        self.k_max = k_max
         self.slots: dict[tuple[int, int], GeneratorSlot] = {}
-        self.table = CoefficientTable(model, k_max)
+        self.table = CoefficientTable(model)
         self.leading = enumerate_leading(model, k_max)
         self._fixed: list[tuple[MultiIndex, float, GeneratorSlot]] = []
         self._run(ansatz)

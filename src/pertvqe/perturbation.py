@@ -212,9 +212,8 @@ class CoefficientTable:
     proportional to |0>), so the normalization sums run over those alone.
     """
 
-    def __init__(self, model: HamiltonianModel, max_order: int):
+    def __init__(self, model: HamiltonianModel):
         self.model = model
-        self.max_order = max_order
         self._ops = model.operators
         self._e0 = unperturbed_energy(0, model.fields)
         self._memos: defaultdict[str, dict[MultiIndex, object]] = defaultdict(dict)
@@ -381,12 +380,16 @@ def exact_ground(model: HamiltonianModel) -> tuple[float, np.ndarray]:
     Lanczos starts from a fixed seeded vector with every amplitude nonzero:
     a start inside one symmetry sector (such as |0>, which fixes the parity)
     never leaves it, and ARPACK's own random start differs from call to
-    call, so results would depend on the call history.
+    call, so results would depend on the call history.  ARPACK's complex
+    path needs a dimension above 2, so a complex H needs two qubits.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     dim = 1 << model.n_qubits
     dtype = np.float64 if model.is_real else np.complex128
+    if dim <= 2 and not model.is_real:
+        raise ValueError("complex Lanczos needs 2^n > 2: a complex Hamiltonian "
+                         f"needs at least 2 qubits, the model has {model.n_qubits}")
     start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim).astype(dtype)
     op = LinearOperator((dim, dim), matvec=model.apply, dtype=dtype)
     vals, vecs = eigsh(op, k=1, which="SA", tol=0, v0=start)
@@ -401,7 +404,7 @@ def perturbative_state(
 ) -> np.ndarray:
     """Normalized truncation of the coefficient series at total order k_max,
     with couplings rescaled by ``scale``."""
-    table = CoefficientTable(model, k_max)
+    table = CoefficientTable(model)
     dim = 1 << model.n_qubits
     psi = np.zeros(dim, dtype=complex)
     for k in iter_orders(model.n_couplings, k_max):
@@ -444,7 +447,7 @@ def factorization_defect(
     coupling groups: disconnected diagrams factorize (acceptance criterion 5).
     """
     pairs = [(MultiIndex(ka), MultiIndex(kb)) for ka, kb in pairs]
-    table = CoefficientTable(model, max(ka.add(kb).order for ka, kb in pairs))
+    table = CoefficientTable(model)
     return max(
         abs(table.normalized(ka.add(kb)) - table.normalized(ka) * table.normalized(kb))
         for ka, kb in pairs

@@ -1,11 +1,11 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from pertvqe.ansatz import ProductAnsatz
+from pertvqe.ansatz import AnsatzUnit, ProductAnsatz
 from pertvqe.hierarchy import GeneratorSlot
 from pertvqe.pauli import MultiIndex, PauliString, unperturbed_energy
 from pertvqe.perturbation import Coupling, HamiltonianModel, perturbative_state
@@ -118,6 +118,31 @@ def _energy_with_unit_shift(ansatz, thetas, model, pos, shift) -> float:
         angle = thetas[unit.param_index] + (shift if i == pos else 0.0)
         psi = apply_rotation(psi, unit.generator, angle, unit.scale)
     return energy(psi, model)
+
+
+def remove_one_at_a_time(ansatz: ProductAnsatz, dropped) -> ProductAnsatz:
+    """Oracle for parameter edits: delete the units of each dropped
+    parameter, highest index first, shifting every higher index down by one
+    after each deletion."""
+    for index in sorted(dropped, reverse=True):
+        units = tuple(
+            replace(u, param_index=u.param_index - (u.param_index > index))
+            for u in ansatz.units if u.param_index != index
+        )
+        ansatz = ProductAnsatz(ansatz.n_qubits, units, ansatz.start_state,
+                               ansatz.num_params - 1)
+    return ansatz
+
+
+def tie_one_at_a_time(ansatz: ProductAnsatz, i: int, j: int, c: float) -> ProductAnsatz:
+    """Oracle for ``fix_parameter``: move the units of parameter i onto j
+    with their scale times c, then remove i as ``remove_one_at_a_time``."""
+    units = tuple(
+        AnsatzUnit(u.generator, j, u.scale * c) if u.param_index == i else u
+        for u in ansatz.units
+    )
+    tied = ProductAnsatz(ansatz.n_qubits, units, ansatz.start_state, ansatz.num_params)
+    return remove_one_at_a_time(tied, {i})
 
 
 @dataclass(frozen=True)

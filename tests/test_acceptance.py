@@ -70,7 +70,7 @@ def test_criterion_01_layered_ansatz_size():
 
 def test_criterion_02_series_coefficients():
     t0 = time.perf_counter()
-    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0))
     targets = {
         (1, 0, 0): -1 / 4,
         (1, 1, 0): 1 / 8,

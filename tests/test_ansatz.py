@@ -4,7 +4,6 @@ import pytest
 from pertvqe.ansatz import (
     AnsatzUnit,
     ProductAnsatz,
-    SymmetryFixError,
     build_qca,
     enforce_conjugation,
     enforce_symmetry,
@@ -219,7 +218,7 @@ def test_symmetric_sector_of_four_qubit_qca():
     qca = build_qca(4)
     real_only = enforce_conjugation(qca)
     parity = PauliString.from_label("ZZZZ")
-    sector = enforce_symmetry(real_only, parity, mode="remove")
+    sector = enforce_symmetry(real_only, parity)
     labels = sorted(u.generator.to_label() for u in sector.units)
     assert labels == sorted(
         ["XYII", "IXYI", "IIXY", "XIYI", "IXIY", "XIIY", "XXXY"]
@@ -229,13 +228,13 @@ def test_symmetric_sector_of_four_qubit_qca():
 
 def test_enforce_identity_symmetry_is_noop():
     qca = build_qca(3)
-    assert enforce_symmetry(qca, PauliString.identity(3), mode="remove") == qca
+    assert enforce_symmetry(qca, PauliString.identity(3)) == qca
 
 
 def test_enforced_ansatz_commutes_per_parameter(rng):
     qca = build_qca(3)
     sym = PauliString.from_label("ZZZ")
-    sector = enforce_symmetry(qca, sym, mode="remove")
+    sector = enforce_symmetry(qca, sym)
     s = sym.to_matrix()
     for _ in range(100):
         theta = rng.uniform(-np.pi, np.pi)
@@ -248,42 +247,6 @@ def _unit_matrix(unit, theta):
     g = unit.generator.to_matrix()
     dim = g.shape[0]
     return np.cos(unit.scale * theta) * np.eye(dim) + 1j * np.sin(unit.scale * theta) * g
-
-
-def test_fix_mode_ties_duplicate_generators():
-    units = (
-        AnsatzUnit(PauliString.from_label("XZ"), 0),
-        AnsatzUnit(PauliString.from_label("XZ"), 1),
-    )
-    a = ProductAnsatz(2, units, 0, 2)
-    sym = PauliString.from_label("ZI")
-    fixed = enforce_symmetry(a, sym, mode="fix")
-    assert fixed.num_params == 1
-    # the tied pair cancels: exp(i t XZ) exp(-i t XZ) = 1 commutes with Z
-    s = sym.to_matrix()
-    for t in (0.3, 1.1):
-        u = _unit_matrix(fixed.units[1], t) @ _unit_matrix(fixed.units[0], t)
-        assert np.allclose(u @ s - s @ u, 0.0, atol=1e-12)
-
-
-def test_fix_mode_infeasible_raises():
-    units = (
-        AnsatzUnit(PauliString.from_label("XI"), 0),
-        AnsatzUnit(PauliString.from_label("XZ"), 1),
-    )
-    a = ProductAnsatz(2, units, 0, 2)
-    with pytest.raises(SymmetryFixError):
-        enforce_symmetry(a, PauliString.from_label("ZI"), mode="fix")
-
-
-def test_fix_mode_noncommuting_block_raises():
-    units = (
-        AnsatzUnit(PauliString.from_label("XI"), 0),
-        AnsatzUnit(PauliString.from_label("YI"), 1),
-    )
-    a = ProductAnsatz(2, units, 0, 2)
-    with pytest.raises(SymmetryFixError):
-        enforce_symmetry(a, PauliString.from_label("ZI"), mode="fix")
 
 
 # -- manifold geometry -----------------------------------------------------------------------

@@ -340,6 +340,34 @@ def test_sweep_above_qubit_cap_fails_before_any_work(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
+def _one_qubit_sweep(tmp_path, pauli):
+    return write_config(
+        tmp_path,
+        model={"type": "custom", "h": [1.0], "couplings": [{"j": 0.1, "pauli": pauli}]},
+        sweep={"n_p_max": 1, "j_values": [0.1], "hierarchies": [["pert", "parent"]]},
+    )
+
+
+def test_one_qubit_complex_sweep_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # the Lanczos reference of a complex H needs two qubits
+    import pertvqe.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no sweep work may start")
+
+    monkeypatch.setattr(pertvqe.cli, "build_priority_list", forbidden)
+    assert main(["--config", str(_one_qubit_sweep(tmp_path, "Y")), "sweep"]) == 2
+    assert "needs at least 2 qubits" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_qubit_real_sweep_runs(tmp_path):
+    assert main(["--config", str(_one_qubit_sweep(tmp_path, "X")), "sweep"]) == 0
+    rows = (tmp_path / "out" / "sweep_pert_parent_j0.1.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert float(rows[-1].split(",")[1]) == pytest.approx(-1.0049875621, abs=1e-9)
+
+
 def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypatch, capsys):
     # no rescaling takes a zero coupling 0 to a j_value, so every sweep
     # would run the J=0 model under its own j_value's file name

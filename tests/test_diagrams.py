@@ -2,8 +2,6 @@ import itertools
 import re
 from collections import deque
 
-import pytest
-
 from pertvqe.diagrams import (
     build_diagram,
     enumerate_connected,

@@ -6,7 +6,6 @@ import pytest
 from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from pertvqe.diagrams import enumerate_leading, is_disconnected_split
 from pertvqe.hierarchy import (
-    PriorityList,
     ThetaEstimator,
     build_priority_list,
     check_matched,

@@ -11,7 +11,6 @@ from pertvqe.perturbation import (
     HamiltonianModel,
     exact_ground,
     factorization_defect,
-    perturbative_state,
     residual_slope,
     series_residual,
     tfim_chain,
@@ -33,7 +32,7 @@ from conftest import (
 
 def test_tilde_c_reference_values():
     model = tfim_chain(4, 1.0, 1.0)
-    table = CoefficientTable(model, 4)
+    table = CoefficientTable(model)
     assert table.tilde((0, 0, 0)) == pytest.approx(1.0, abs=0)
     assert table.tilde((1, 0, 0)) == pytest.approx(-1 / 4, abs=1e-15)
     assert table.tilde((0, 1, 0)) == pytest.approx(-1 / 4, abs=1e-15)
@@ -45,13 +44,13 @@ def test_tilde_c_reference_values():
 
 def test_tilde_c_field_scaling():
     # every order divides by one more power of the field strength
-    weak = CoefficientTable(tfim_chain(4, 2.0, 1.0), 3)
+    weak = CoefficientTable(tfim_chain(4, 2.0, 1.0))
     assert weak.tilde((1, 0, 0)) == pytest.approx(-1 / 8, abs=1e-15)
     assert weak.tilde((1, 1, 1)) == pytest.approx(-5 / 512, abs=1e-15)
 
 
 def test_tilde_returns_zero_for_diagonal_indices():
-    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0))
     assert table.tilde((2, 0, 0)) == 0.0
     assert table.tilde((0, 2, 0)) == 0.0
 
@@ -60,7 +59,7 @@ def test_tilde_matches_vector_dyson_oracle(rng):
     # order-by-order agreement with an independent dense-vector recursion
     for trial in range(4):
         model = random_model(rng, 4, 3)
-        table = CoefficientTable(model, 4)
+        table = CoefficientTable(model)
         try:
             states, _ = dyson_vector_states(model, 4)
         except ZeroDivisionError:
@@ -121,7 +120,7 @@ def _count_multi_index_constructions(monkeypatch):
 
 @pytest.mark.parametrize("series", SERIES)
 def test_memo_hit_constructs_no_multi_index(monkeypatch, series):
-    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0))
     lookup = getattr(table, series)
     keys = [(1, 0, 1), MultiIndex((1, 0, 1)), (2, 1, 1), MultiIndex((2, 1, 1))]
     first = [lookup(k) for k in keys]
@@ -131,7 +130,7 @@ def test_memo_hit_constructs_no_multi_index(monkeypatch, series):
 
 
 def test_tuple_and_multi_index_keys_share_one_entry():
-    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0))
     value = table.tilde((1, 0, 1))
     entries = len(table.known())
     assert table.tilde(MultiIndex((1, 0, 1))) == value
@@ -140,7 +139,7 @@ def test_tuple_and_multi_index_keys_share_one_entry():
 
 
 def test_known_keys_are_multi_indices():
-    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0))
     table.tilde((1, 2, 1))
     table.tilde([0, 1, 1])
     assert len(table.known()) > 2
@@ -151,7 +150,7 @@ def test_known_keys_are_multi_indices():
 @pytest.mark.parametrize("key", [(-1, 0, 1), (1, 0), (0, 0), (1, 0, 1, 0), (1.5, 0, 0)],
                          ids=["negative", "short", "short-zero", "long", "fraction"])
 def test_invalid_key_raises_on_first_lookup(series, key):
-    table = CoefficientTable(tfim_chain(4, 1.0, 1.0), 4)
+    table = CoefficientTable(tfim_chain(4, 1.0, 1.0))
     for k in iter_orders(3, 4):
         table.tilde(k)
     with pytest.raises(ValueError):
@@ -162,7 +161,7 @@ def test_invalid_key_raises_on_first_lookup(series, key):
 
 
 def test_normalized_zero_order():
-    assert CoefficientTable(tfim_chain(3, 1.0, 0.5), 0).normalized((0, 0)) == pytest.approx(1.0)
+    assert CoefficientTable(tfim_chain(3, 1.0, 0.5)).normalized((0, 0)) == pytest.approx(1.0)
 
 
 def test_normalized_disconnected_factorizes_tfim():
@@ -177,7 +176,7 @@ def test_normalized_matches_fit_oracle(rng):
     unit = HamiltonianModel(
         model.fields, tuple(Coupling(1.0, c.operator) for c in model.couplings)
     )
-    table = CoefficientTable(unit, 3)
+    table = CoefficientTable(unit)
     for k in iter_orders(2, 2):
         state, phase = table.state_phase(k)
         if state != 0:
@@ -190,11 +189,8 @@ def test_normalized_matches_fit_oracle_off_diagonal(rng):
     # retry until the first coupling moves the reference state
     for _ in range(10):
         model = random_model(rng, 3, 2)
-        table = CoefficientTable(
-            HamiltonianModel(model.fields,
-                             tuple(Coupling(1.0, c.operator) for c in model.couplings)),
-            3,
-        )
+        table = CoefficientTable(HamiltonianModel(
+            model.fields, tuple(Coupling(1.0, c.operator) for c in model.couplings)))
         k = MultiIndex((1, 0))
         state, phase = table.state_phase(k)
         if state != 0:
@@ -209,7 +205,7 @@ def test_normalized_matches_fit_oracle_off_diagonal(rng):
 def test_normalization_series_keeps_unit_norm():
     model = tfim_chain(4, 1.0, 1.0)
     k_max = 4
-    table = CoefficientTable(model, k_max)
+    table = CoefficientTable(model)
     for scale in (0.1, 0.05):
         psi = np.zeros(16, dtype=complex)
         for k in iter_orders(3, k_max):
@@ -262,6 +258,15 @@ def test_exact_ground_ising_limit():
     # three bonds at zero field: minimum of J * sum XX is -3J
     energy, _ = exact_ground(tfim_chain(4, 0.0, 1.0))
     assert energy == pytest.approx(-3.0, abs=1e-12)
+
+
+def test_exact_ground_rejects_a_one_qubit_complex_hamiltonian():
+    # ARPACK's complex Lanczos needs a dimension above 2; the real path runs
+    y = HamiltonianModel((1.0,), (Coupling(0.1, PauliString.from_label("Y")),))
+    with pytest.raises(ValueError, match="at least 2 qubits"):
+        exact_ground(y)
+    x = HamiltonianModel((1.0,), (Coupling(0.1, PauliString.from_label("X")),))
+    assert exact_ground(x)[0] == pytest.approx(-np.hypot(1.0, 0.1), abs=1e-12)
 
 
 def test_exact_ground_cap():
@@ -376,7 +381,7 @@ def test_degenerate_field_raises():
         (Coupling(0.5, PauliString.from_label("XI")),),
     )
     with pytest.raises(DegeneracyError) as err:
-        CoefficientTable(model, 1).tilde((1,))
+        CoefficientTable(model).tilde((1,))
     assert "degenerate" in str(err.value)
 
 

@@ -4,8 +4,9 @@ real and complex paths of the adjoint gradient (and of the phase-gauge rule
 that picks between them) against independent dense oracles, of the signs
 the coefficient recursion uses against ``relative_sign``, of its memoized
 coupling powers against ``pauli_power``, of the leading-diagram key
-against ``state_and_phase`` and ``build_diagram``, and
-of parameter removal and fixing on layered ansatzes."""
+against ``state_and_phase`` and ``build_diagram``, of parameter removal and
+fixing on layered ansatzes, and of every parameter edit against an oracle
+that removes one parameter at a time."""
 
 from itertools import combinations
 from unittest import mock
@@ -18,8 +19,11 @@ from pertvqe.ansatz import (
     AnsatzUnit,
     ProductAnsatz,
     build_qca,
+    enforce_conjugation,
+    enforce_symmetry,
     fix_parameter,
     remove_parameter,
+    respects_conjugation,
 )
 import pytest
 
@@ -35,7 +39,7 @@ from pertvqe.pauli import (
 from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel, _sign
 from pertvqe.simulator import energy, energy_and_gradient, prepare
 
-from conftest import shift_rule_gradient
+from conftest import remove_one_at_a_time, shift_rule_gradient, tie_one_at_a_time
 
 PROPERTY = settings(deadline=None, max_examples=40)
 
@@ -249,7 +253,7 @@ def test_references_are_the_reference_returning_sub_indices(n, n_couplings, data
         Coupling(1.0, data.draw(labels(n, odd_y=data.draw(st.booleans()))))
         for _ in range(n_couplings)
     )
-    table = CoefficientTable(HamiltonianModel((1.0,) * n, couplings), 6)
+    table = CoefficientTable(HamiltonianModel((1.0,) * n, couplings))
     k = MultiIndex(data.draw(st.lists(st.integers(0, 3), min_size=n_couplings,
                                       max_size=n_couplings)))
     scanned = [kp for kp in k.sub_indices() if table.state_phase(kp)[0] == 0]
@@ -274,7 +278,7 @@ def test_tilde_signs_equal_the_relative_sign_oracle(ops, data):
     # a + b <= k, with the power at a unit index read as the coupling itself
     n = ops[0].n_qubits
     table = CoefficientTable(HamiltonianModel((1.0,) * n, tuple(
-        Coupling(1.0, op) for op in ops)), 4)
+        Coupling(1.0, op) for op in ops)))
     for beta, op in enumerate(ops):
         assert table.power(MultiIndex.delta(len(ops), beta)) == op
     k = MultiIndex(data.draw(st.lists(st.integers(1, 2), min_size=len(ops),
@@ -296,7 +300,7 @@ def test_memoized_powers_equal_pauli_power(ops, data):
     # below, whatever order the lookups come in; pauli_power starts afresh
     n = ops[0].n_qubits
     table = CoefficientTable(HamiltonianModel((1.0,) * n, tuple(
-        Coupling(1.0, op) for op in ops)), 6)
+        Coupling(1.0, op) for op in ops)))
     indices = st.lists(st.integers(0, 3), min_size=len(ops), max_size=len(ops))
     for k in data.draw(st.lists(indices, min_size=1, max_size=6)):
         assert table.power(k) == pauli_power(k, ops)
@@ -533,3 +537,62 @@ def test_fix_parameter_ties_one_angle_to_another(case, c):
     expect[i] = c * theta[j]
     got = prepare(child, np.delete(theta, i))
     assert np.max(np.abs(got - prepare(ansatz, expect))) <= 1e-12
+
+
+def _hermitian(n, x, z):
+    return PauliString(n, x, z, (x & z).bit_count() % 4)
+
+
+@st.composite
+def shared_ansatzes(draw):
+    """An ansatz on 1-4 qubits with 1-5 parameters shared by 0-7 units of
+    mixed scales (a parameter may own no unit), any start state, a Pauli
+    symmetry (the identity allowed), a distinct parameter pair when there
+    are two, and a tie coefficient."""
+    n = draw(st.integers(1, 4))
+    masks = st.integers(0, (1 << n) - 1)
+    num_params = draw(st.integers(1, 5))
+    units = draw(st.lists(st.builds(
+        AnsatzUnit,
+        st.tuples(masks, masks).filter(any).map(lambda xz: _hermitian(n, *xz)),
+        st.integers(0, num_params - 1),
+        st.sampled_from([1.0, -1.0, 0.5, 2.0, -0.75]),
+    ), max_size=7))
+    ansatz = ProductAnsatz(n, tuple(units), draw(masks), num_params)
+    symmetry = _hermitian(n, draw(masks), draw(masks))
+    pair = _distinct_pair(draw, num_params) if num_params > 1 else None
+    return ansatz, symmetry, pair, draw(_TIE_COEFFICIENTS)
+
+
+def _params_with(ansatz, broken):
+    return {u.param_index for u in ansatz.units if broken(u.generator)}
+
+
+@settings(deadline=None, max_examples=300)
+@given(shared_ansatzes())
+def test_parameter_edits_match_one_at_a_time_removal(case):
+    ansatz, symmetry, pair, c = case
+    for i in range(ansatz.num_params):
+        assert remove_parameter(ansatz, i) == remove_one_at_a_time(ansatz, {i})
+    if pair is not None:
+        assert fix_parameter(ansatz, *pair, c) == tie_one_at_a_time(ansatz, *pair, c)
+    assert enforce_conjugation(ansatz) == remove_one_at_a_time(
+        ansatz, _params_with(ansatz, lambda g: not respects_conjugation(g)))
+    assert enforce_symmetry(ansatz, symmetry) == remove_one_at_a_time(
+        ansatz, _params_with(ansatz, lambda g: not g.commutes_with(symmetry)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(shared_ansatzes())
+def test_enforce_symmetry_keeps_exactly_the_commuting_parameters(case):
+    ansatz, symmetry, _, _ = case
+    sector = enforce_symmetry(ansatz, symmetry)
+    assert all(u.generator.commutes_with(symmetry) for u in sector.units)
+    survivors = [p for p in range(ansatz.num_params)
+                 if all(u.generator.commutes_with(symmetry)
+                        for u in ansatz.units if u.param_index == p)]
+    assert sector.num_params == len(survivors)
+    assert [(u.generator, u.scale, survivors[u.param_index]) for u in sector.units] == [
+        (u.generator, u.scale, u.param_index) for u in ansatz.units
+        if u.param_index in survivors]
+    assert sector.start_state == ansatz.start_state
