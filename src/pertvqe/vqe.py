@@ -36,6 +36,21 @@ class OptimizationOutcome:
     message: str = ""
 
 
+# A run ends at the first evaluated point whose gradient meets gtol unless its
+# energy lies above the run's lowest so far by more than this share of |E|.
+# Near a minimum the float64 energy sum is flat to within rounding: points
+# that meet gtol sit 1-2 ulps above a neighbour, and L-BFGS-B's line search
+# rejects them as a rise.  One ulp of E is at most eps·|E|, so 4·eps·|E|
+# admits that rounding with a margin and no rise the gradient could resolve.
+ENERGY_ROUNDING = 4 * np.finfo(float).eps
+GRADIENT_MET = "CONVERGENCE: MAX |GRADIENT| <= GTOL AT AN EVALUATED POINT"
+
+
+class _GradientMet(Exception):
+    """Ends an L-BFGS-B run from inside its objective, which is the only
+    way to stop scipy's run at a trial point; args are (theta, energy)."""
+
+
 def optimize(
     ansatz: ProductAnsatz,
     model: HamiltonianModel,
@@ -46,10 +61,19 @@ def optimize(
     rng: np.random.Generator | None = None,
 ) -> OptimizationOutcome:
     """Quasi-Newton minimization of the variational energy with analytic
-    gradients.  If the gradient norm stalls above tolerance, up to
-    ``restarts`` perturbed re-runs (magnitude 0.1) keep the best result.
-    The start itself is kept when no run goes below it; its energy is the
-    objective's first value, since L-BFGS-B evaluates theta0 first.
+    gradients.
+
+    A run ends at the first point it evaluates with max|dE/dtheta| <= gtol
+    and an energy at most ``ENERGY_ROUNDING``·|E| above the run's lowest so
+    far (message ``GRADIENT_MET``); L-BFGS-B itself tests only the points
+    its line search accepts.  Such a run is converged, and its iterations
+    count the one whose line search evaluated the point (none for the
+    start).  If a run ends with the gradient above tolerance, up to
+    ``restarts`` perturbed re-runs (magnitude 0.1, drawn only when a re-run
+    follows) keep the best result.  The start itself is kept when no run
+    goes below it; its energy is the objective's first value, since
+    L-BFGS-B evaluates theta0 first.  ``evaluations`` counts computed
+    energies only: a point evaluated again is served from a memo.
     """
     from scipy.optimize import minimize
 
@@ -63,39 +87,63 @@ def optimize(
         rng = np.random.default_rng(0)
     evaluations = 0
     e_start = None
+    seen = {}  # theta.tobytes() -> (energy, gradient); L-BFGS-B revisits points
 
     def objective(theta):
-        nonlocal evaluations, e_start
-        evaluations += 1
-        value, grad = energy_and_gradient(ansatz, theta, model)
-        if not np.isfinite(value):
-            raise FloatingPointError("non-finite variational energy")
-        if e_start is None:
-            e_start = value
+        nonlocal evaluations, e_start, lowest
+        key = theta.tobytes()
+        if key in seen:
+            value, grad = seen[key]
+            grad = grad.copy()
+        else:
+            evaluations += 1
+            value, grad = energy_and_gradient(ansatz, theta, model)
+            if not np.isfinite(value):
+                raise FloatingPointError("non-finite variational energy")
+            if e_start is None:
+                e_start = value
+            seen[key] = value, grad.copy()
+        lowest = min(lowest, value)
+        if (np.max(np.abs(grad)) <= gtol
+                and value <= lowest + ENERGY_ROUNDING * abs(lowest)):
+            raise _GradientMet(theta.copy(), value)
         return value, grad
+
+    def count_iteration(_):
+        nonlocal iterations
+        iterations += 1
 
     best = None
     start = theta0
     total_iters = 0
     for attempt in range(restarts + 1):
-        res = minimize(
-            objective,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iterations, "gtol": gtol, "ftol": 1e-18},
-        )
-        total_iters += int(res.nit)
-        grad_norm = float(np.max(np.abs(res.jac)))
-        cand = OptimizationOutcome(
-            np.asarray(res.x), float(res.fun), total_iters, grad_norm <= gtol,
-            attempt=attempt, message=str(res.message),
-        )
+        if attempt:
+            start = best.theta + 0.1 * rng.standard_normal(best.theta.size)
+        iterations = 0
+        lowest = math.inf  # this run's lowest energy
+        try:
+            res = minimize(
+                objective,
+                start,
+                jac=True,
+                method="L-BFGS-B",
+                callback=count_iteration,
+                options={"maxiter": max_iterations, "gtol": gtol, "ftol": 1e-18},
+            )
+            theta, value, message = np.asarray(res.x), float(res.fun), str(res.message)
+            converged = float(np.max(np.abs(res.jac))) <= gtol
+        except _GradientMet as stop:
+            theta, value = stop.args
+            message, converged = GRADIENT_MET, True
+            if not np.array_equal(theta, start):
+                iterations += 1  # the trial point would be the next iterate
+        total_iters += iterations
+        cand = OptimizationOutcome(theta, value, total_iters, converged,
+                                   attempt=attempt, message=message)
         if best is None or cand.energy < best.energy:
             best = cand
         if best.converged:
             break
-        start = best.theta + 0.1 * rng.standard_normal(best.theta.size)
     # Never report worse than the warm start itself.
     if e_start < best.energy:
         best = replace(best, theta=theta0, energy=e_start, iterations=total_iters,
@@ -115,6 +163,9 @@ PERTURBATIVE_ANGLE = 0.25
 MULTISTARTS = 2
 # A warm run that ends within this many L-BFGS-B iterations stalled at its
 # start: the new unit's gradient vanishes there, or the line search fails.
+# A run that ends at a trial point (GRADIENT_MET) counts the iteration whose
+# line search evaluated it, as if L-BFGS-B had accepted the point; one that
+# ends at its start counts none, so a start meeting gtol is a stall.
 STALL_ITERATIONS = 2
 
 

@@ -329,7 +329,8 @@ def test_sweep_above_qubit_cap_fails_before_any_work(tmp_path, monkeypatch, caps
     def forbidden(*args, **kwargs):
         raise AssertionError("no sweep work may start")
 
-    monkeypatch.setattr(pertvqe.cli, "build_qca", forbidden)
+    monkeypatch.setattr(pertvqe.cli, "build_priority_list", forbidden)
+    monkeypatch.setattr(pertvqe.cli, "hierarchy_sweep", forbidden)
     cfg = write_config(
         tmp_path,
         model={"type": "tfim", "n_qubits": 15, "h": 1.0, "j": 0.15},

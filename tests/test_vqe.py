@@ -93,6 +93,63 @@ def test_optimize_keeps_the_start_from_the_objectives_first_value(monkeypatch):
     assert (out.attempt, out.evaluations, out.reruns) == (0, 2, 1)
 
 
+GTOL = 1e-9
+FLOOR = -1.0 + 1e-13
+
+
+def _flat_floor(rise):
+    """A smooth two-parameter landscape whose energy, like a float64 energy
+    sum near its minimum, is flat (at FLOOR) while its gradient still falls;
+    points that meet GTOL read FLOOR + rise."""
+
+    def landscape(ansatz, theta, model):
+        u, w = theta[0] - 0.3, theta[1] + 0.2
+        value = -1.0 + (1 - np.cos(u)) + 3 * (1 - np.cos(w)) + 0.5 * (1 - np.cos(u - w))
+        grad = np.array([np.sin(u) + 0.5 * np.sin(u - w), 3 * np.sin(w) - 0.5 * np.sin(u - w)])
+        if np.max(np.abs(grad)) <= GTOL:
+            return FLOOR + rise, grad
+        return max(value, FLOOR), grad
+
+    return landscape
+
+
+def _plain_lbfgsb(landscape):
+    import scipy.optimize
+
+    return scipy.optimize.minimize(
+        lambda theta: landscape(None, theta, None), np.zeros(2), jac=True,
+        method="L-BFGS-B", options={"maxiter": 2000, "gtol": GTOL, "ftol": 1e-18})
+
+
+def test_optimize_ends_at_a_trial_point_one_ulp_above_the_lowest(monkeypatch):
+    # L-BFGS-B's line search rejects the only point meeting gtol for its
+    # 1-ulp rise and ends unconverged; optimize ends the run at that point
+    landscape = _flat_floor(np.nextafter(FLOOR, 0.0) - FLOOR)
+    plain = _plain_lbfgsb(landscape)
+    assert np.max(np.abs(plain.jac)) > GTOL
+    monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", landscape)
+    out = optimize(build_qca(1), HamiltonianModel((1.0,), ()), np.zeros(2), GTOL)
+    assert out.converged and out.reruns == 0 and out.attempt == 0
+    assert out.message == pertvqe.vqe.GRADIENT_MET
+    assert out.energy == np.nextafter(FLOOR, 0.0)
+    value, grad = landscape(None, out.theta, None)
+    assert value == out.energy and np.max(np.abs(grad)) <= GTOL
+
+
+def test_optimize_runs_on_past_a_trial_point_above_the_rounding_bound(monkeypatch):
+    # the same landscape with the point meeting gtol 2 bounds above the
+    # floor: the run goes on as plain L-BFGS-B does, and reruns follow
+    landscape = _flat_floor(2 * pertvqe.vqe.ENERGY_ROUNDING * abs(FLOOR))
+    plain = _plain_lbfgsb(landscape)
+    monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", landscape)
+    a, model = build_qca(1), HamiltonianModel((1.0,), ())
+    out = optimize(a, model, np.zeros(2), GTOL, restarts=0)
+    assert not out.converged and out.message == str(plain.message)
+    assert np.array_equal(out.theta, plain.x) and out.energy == plain.fun
+    assert out.iterations == plain.nit
+    assert optimize(a, model, np.zeros(2), GTOL).reruns == 3
+
+
 def test_sweep_zero_units_is_baseline_row():
     model = tfim_chain(3, 1.0, 0.3)
     plist = build_priority_list(model, build_qca(3), 3)
@@ -267,6 +324,11 @@ def test_strong_sweep_keeps_the_full_budget(monkeypatch):
         assert warm[1][2] == 3 and "restarts" not in warm[2]
         assert len(randoms) == 2
         assert all(kwargs["restarts"] == 0 for _, _, kwargs, _ in randoms)
+    # a warm run that converged did so without a perturbed rerun
+    for step in result.steps:
+        if (step.start == "warm" and step.converged
+                and not step.message.startswith("start kept")):
+            assert step.reruns == 0
 
 
 def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
@@ -317,13 +379,22 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
 
 
 def test_stall_restart_rewinds_the_generator(monkeypatch):
-    # the warm run at unit 5 ends unconverged and draws a rerun perturbation
-    # it does not use; a stall forced at unit 6 must rewind that draw too
+    # the warm run at unit 5, cut to 3 iterations, ends unconverged; a
+    # perturbative warm run has no rerun to draw a perturbation for, so the
+    # perturbative pass leaves the generator as it found it, and a stall
+    # forced at unit 6 starts the full budget from that same state
     run = pertvqe.vqe.optimize
+    perturbative = []
 
     def stall_at_six(ansatz, model, theta0, *args, **kwargs):
+        if args[2:] != (0,):
+            return run(ansatz, model, theta0, *args, **kwargs)
+        state = kwargs["rng"].bit_generator.state
+        if ansatz.num_params == 5:
+            args = (args[0], 3, 0)
         out = run(ansatz, model, theta0, *args, **kwargs)
-        if ansatz.num_params == 6 and args[2:] == (0,):
+        perturbative.append((out.converged, kwargs["rng"].bit_generator.state == state))
+        if ansatz.num_params == 6:
             out = replace(out, iterations=0)
         return out
 
@@ -336,5 +407,7 @@ def test_stall_restart_rewinds_the_generator(monkeypatch):
     forced_rng = np.random.default_rng(5)
     forced = hierarchy_sweep(model, plist, 7, rng=forced_rng)
     assert result.budget == forced.budget == "full"
+    assert len(perturbative) == 6 and not perturbative[4][0]
+    assert all(untouched for _, untouched in perturbative)
     assert [r.theta for r in result.rows] == [r.theta for r in forced.rows]
     assert rng.bit_generator.state == forced_rng.bit_generator.state
