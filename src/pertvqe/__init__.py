@@ -29,7 +29,6 @@ from .hierarchy import (
     ThetaEstimator,
     build_priority_list,
     check_matched,
-    estimate_thetas,
     qca_slot,
 )
 from .pauli import (

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .perturbation import (
     tfim_chain,
 )
 from .simulator import QUBIT_CAP, best_fidelity
-from .vqe import hierarchy_sweep, sweep_thetas_json, sweep_to_csv
+from .vqe import GTOL, MAX_ITERATIONS, hierarchy_sweep, sweep_thetas_json, sweep_to_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -55,26 +55,30 @@ DEFAULT_HIERARCHIES = [
 
 @dataclass
 class RunConfig:
+    """A parsed config; ``from_dict`` holds every default."""
+
     model: HamiltonianModel
-    k_max: int = 4
-    mode: str = "pert"
-    ordering: str = "hierarchy"
-    tie_seed: int | None = None
-    n_p_max: int = 30
-    gtol: float = 1e-9
-    max_iterations: int = 2000
-    j_values: list = field(default_factory=lambda: [0.15, 6.0, 1.0])
-    hierarchies: list = field(default_factory=lambda: DEFAULT_HIERARCHIES)
-    out: str = "."
+    k_max: int
+    mode: str
+    ordering: str
+    tie_seed: int | None
+    n_p_max: int
+    gtol: float
+    max_iterations: int
+    j_values: list
+    hierarchies: list
+    out: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        _object(raw, "config")
+        _object(raw, "config", ("model", "k_max", "hierarchy", "sweep", "out"))
         if "model" not in raw:
             raise ConfigError("config requires a 'model' section")
         model = _parse_model(raw["model"])
-        hier = _object(raw.get("hierarchy", {}), "hierarchy")
-        sweep = _object(raw.get("sweep", {}), "sweep")
+        hier = _object(raw.get("hierarchy", {}), "hierarchy",
+                       ("mode", "ordering", "tie_seed"))
+        sweep = _object(raw.get("sweep", {}), "sweep",
+                        ("n_p_max", "gtol", "max_iterations", "j_values", "hierarchies"))
         cfg = cls(
             model=model,
             k_max=_convert(_integer, raw, "k_max", 4),
@@ -83,8 +87,9 @@ class RunConfig:
             tie_seed=None if hier.get("tie_seed") is None
             else _convert(_integer, hier, "tie_seed", None, "hierarchy."),
             n_p_max=_convert(_integer, sweep, "n_p_max", 30, "sweep."),
-            gtol=_convert(_real, sweep, "gtol", 1e-9, "sweep."),
-            max_iterations=_convert(_integer, sweep, "max_iterations", 2000, "sweep."),
+            gtol=_convert(_real, sweep, "gtol", GTOL, "sweep."),
+            max_iterations=_convert(_integer, sweep, "max_iterations", MAX_ITERATIONS,
+                                    "sweep."),
             j_values=_convert(_real, sweep, "j_values", [0.15, 6.0, 1.0], "sweep."),
             hierarchies=_convert(list, sweep, "hierarchies", DEFAULT_HIERARCHIES, "sweep."),
             out=raw.get("out", "."),
@@ -133,10 +138,16 @@ def _convert(kind, section: dict, key: str, default, where: str = ""):
         raise ConfigError(f"{where}{key}: {exc}") from exc
 
 
-def _object(value, where: str) -> dict:
-    """``value`` if it is a JSON object; anything else is a ConfigError."""
+def _object(value, where: str, keys: tuple[str, ...] | None = None) -> dict:
+    """``value`` if it is a JSON object and, when ``keys`` is given, holds
+    no other key: a misspelled key would silently run with its default.
+    Anything else is a ConfigError."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        name = unknown[0] if where == "config" else f"{where}.{unknown[0]}"
+        raise ConfigError(f"unknown key {name}")
     return value
 
 

@@ -118,19 +118,19 @@ def enumerate_connected(model: HamiltonianModel, k_max: int) -> list[MultiIndex]
     if k_max < 1:
         return []
     n_c = model.n_couplings
-    sup = [c.operator.support() for c in model.couplings]
+    masks = [c.operator.x_mask | c.operator.z_mask for c in model.couplings]
     frontier = {MultiIndex.delta(n_c, b) for b in range(n_c)}
     seen: set[MultiIndex] = set(frontier)
     out = sorted(frontier)
     for _ in range(1, k_max):
         nxt: set[MultiIndex] = set()
         for k in frontier:
-            touched = set()
+            touched = 0
             for b, count in enumerate(k):
                 if count:
-                    touched |= sup[b]
+                    touched |= masks[b]
             for b in range(n_c):
-                if k[b] == 0 and not (sup[b] & touched):
+                if k[b] == 0 and not masks[b] & touched:
                     continue
                 grown = k.add(MultiIndex.delta(n_c, b))
                 if grown not in seen:

@@ -157,8 +157,6 @@ class ThetaEstimator:
             for i in same_order:
                 thetas[i] = self._theta_for(ks[i], back.get(ks[i], 0.0))
                 self._fixed.append((ks[i], thetas[i], slots[i]))
-        self._down = down
-        self._series = series
 
     def _theta_for(self, k: MultiIndex, back: float) -> float:
         state, gamma = self.table.state_phase(k)
@@ -172,12 +170,9 @@ class ThetaEstimator:
         fixed set; vanishes for support-disconnected indices whose parts are
         themselves fixed diagrams."""
         k = MultiIndex(k)
-        if k in self._down:
-            series, fixed = self._series, self._fixed
-        else:
-            fixed = [f for f in self._fixed if k.dominates(f[0])]
-            series = _ProductSeries(self.table, set(k.sub_indices()),
-                                    [f[0] for f in fixed], [f[2] for f in fixed])
+        fixed = [f for f in self._fixed if k.dominates(f[0])]
+        series = _ProductSeries(self.table, set(k.sub_indices()),
+                                [f[0] for f in fixed], [f[2] for f in fixed])
         # only strictly lower orders reach k without being k itself
         thetas = [theta if fk.order < k.order else 0.0 for fk, theta, _ in fixed]
         return self._theta_for(k, series.coefficients(thetas).get(k, 0.0))
@@ -327,12 +322,6 @@ def _check_parent(ansatz: ProductAnsatz, n_qubits: int, slots) -> None:
             )
 
 
-def estimate_thetas(
-    model: HamiltonianModel, ansatz: ProductAnsatz | None, k_max: int
-) -> list[ThetaEstimate]:
-    return ThetaEstimator(model, ansatz, k_max).estimates()
-
-
 def duplication_defect(
     single: HamiltonianModel, doubled: HamiltonianModel
 ) -> tuple[float, int]:
@@ -401,8 +390,9 @@ class PriorityList:
 
 
 def _is_nearest_neighbour_pair(generator: PauliString) -> bool:
-    sup = sorted(generator.support())
-    return len(sup) == 2 and sup[1] - sup[0] == 1
+    # a support of two adjacent qubits is its lowest bit times 0b11
+    mask = generator.x_mask | generator.z_mask
+    return mask != 0 and mask == (mask & -mask) * 3
 
 
 def build_priority_list(
@@ -426,7 +416,7 @@ def build_priority_list(
         raise ValueError(f"unknown mode {mode!r}")
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    estimates = estimate_thetas(model, ansatz, k_max)
+    estimates = ThetaEstimator(model, ansatz, k_max).estimates()
     # Ties (symmetry-equivalent generators) fall back to parent-circuit
     # position, which runs up the chain; label order is the last resort.
     ranked = sorted(

@@ -11,9 +11,7 @@ positive Hermitian tensor product I/X/Y/Z corresponds to
 
 On dense states a string has one compiled form, ``PauliString.action``: a
 gather ``perm`` and one float64 vector, from which ``factor`` gives the
-action of i^power times the string.  A diagonal phase gauge (a product of
-S gates) is a Clifford conjugation, so ``gauged`` applies it to the masks
-and phase alone.
+action of i^power times the string.
 
 Computational basis states are plain integers; bit q of the integer is the
 value of qubit q.  Multi-indices counting coupling applications are
@@ -149,18 +147,6 @@ class PauliString:
         """Act on |bits>, returning ``(new_bits, phase_exp mod 4)``."""
         extra = 2 * (self.z_mask & bits).bit_count()
         return bits ^ self.x_mask, (self.phase_exp + extra) % 4
-
-    def gauged(self, c: int) -> "PauliString":
-        """omega^dagger op omega under the phase gauge omega = prod_{q in c} S_q
-        (diagonal, omega(b) = i^popcount(c & b)).  S^dagger X S = -Y, and S
-        leaves Z alone, so each X or Y on a bit of c trades its Z bit and
-        lowers the phase by one; x is unchanged, so the gauged string has
-        the same ``action.perm``.  Returns ``self`` when c misses x."""
-        flips = c & self.x_mask
-        if not flips:
-            return self
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask ^ flips,
-                           self.phase_exp - flips.bit_count())
 
     @cached_property
     def action(self) -> PauliAction:

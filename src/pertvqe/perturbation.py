@@ -116,14 +116,9 @@ class HamiltonianModel:
         when every term has an even Y count, else complex128."""
         perms = np.array([np.arange(1 << self.n_qubits)]
                          + [t.operator.action.perm for t in self.terms])
-        return perms, self._gauged_factors(0)
-
-    def _gauged_factors(self, c: int) -> np.ndarray:
-        """The factor rows F of ``gather`` with every term conjugated by the
-        phase gauge c (``PauliString.gauged``); a gauge keeps each x mask,
-        so P is unchanged.  c = 0 gives the ungauged F."""
-        return np.array([self.diagonal] + [t.strength * t.operator.gauged(c).factor()
-                                           for t in self.terms])
+        factors = np.array([self.diagonal]
+                           + [t.strength * t.operator.factor() for t in self.terms])
+        return perms, factors
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H|psi>, the one Hamiltonian apply, through the stacked ``gather``;

@@ -9,13 +9,13 @@ apply exp(i * scale * theta * T) exactly as cos(a)|psi> + i sin(a) T|psi>;
 no dense operator is ever materialized.
 
 States are complex (``complex128``) except inside ``energy_and_gradient``
-when a diagonal phase gauge makes H and every i*T real (``_phase_gauge``):
-then its one adjoint pass runs on ``float64`` states.  The gauge is a
-product of S gates, applied to each string's masks (``PauliString.gauged``).
-Every generator with an odd Y count and every coupling with an even one
-need no gauge; the XY chain needs one.  The pass is compiled once per
-(ansatz, model) pair.  ``PauliString.apply`` and ``energy`` keep a real
-state real when the operator they apply is real.
+when a diagonal phase gauge omega makes H and every i*T real
+(``_phase_gauge``): then its one adjoint pass runs on ``float64`` states.
+This module alone knows the gauge: it conjugates the compiled rows of the
+pass by omega (``_compile``).  Every generator with an odd Y count and
+every coupling with an even one need no gauge; the XY chain needs one.
+The pass is compiled once per (ansatz, model) pair.  ``PauliString.apply``
+and ``energy`` keep a real state real when the operator they apply is real.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def energy_and_gradient(
     psi = circuit.start
     states = [psi]
     for (perm, factor), c, s in zip(circuit.rotations, cos, sin):
-        psi = c * psi + s * _apply_r(psi, perm, factor)
+        psi = c * psi + s * (factor * psi[perm])
         states.append(psi)
     # H psi as HamiltonianModel.apply computes it, in the circuit's gauge
     lam = (circuit.h_factors * psi[circuit.h_perms]).sum(axis=0)
@@ -99,15 +99,11 @@ def energy_and_gradient(
     grad = np.zeros(ansatz.num_params)
     for i in range(len(units) - 1, -1, -1):
         unit = units[i]
-        r_lam = _apply_r(lam, *circuit.rotations[i])
+        perm, factor = circuit.rotations[i]
+        r_lam = factor * lam[perm]
         grad[unit.param_index] -= 2.0 * unit.scale * np.vdot(r_lam, states[i + 1]).real
         lam = cos[i] * lam - sin[i] * r_lam
     return value, grad
-
-
-def _apply_r(psi: np.ndarray, perm: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """R psi with R = i * T compiled as ``factor * psi[perm]``."""
-    return factor * psi[perm]
 
 
 class _Circuit(NamedTuple):
@@ -144,29 +140,41 @@ def _forget(ansatz_ref) -> None:
 
 
 def _compile(ansatz: ProductAnsatz, model: HamiltonianModel) -> _Circuit:
-    """The pass with every generator and term conjugated by the phase gauge
-    omega(b) = i^popcount(c & b) (``PauliString.gauged``), or with c = 0
-    when no gauge exists.  Under a gauge each R = i * T and H are real, so
-    the factors are float64 and the pass runs on float64 states; the start
-    state |s> only picks up the global phase conj(omega(s)), which drops out
-    of E and its gradient.  A gauge keeps each x mask, so every unit and H
-    gather through the ungauged perms, and with c = 0 a unit whose R is
-    real uses its string's own ``action.real`` and H the model's cached
-    ``gather`` rows."""
+    """The pass with every R = i * T, compiled as ``factor(1) * psi[perm]``,
+    and H, as the model's ``gather``, conjugated by the phase gauge
+    omega(b) = i^popcount(c & b), or with c = 0 when no gauge exists.
+
+    A row f at gather perm is the matrix M with M[b, perm[b]] = f[b], so
+    omega^dagger M omega is the row conj(omega) * f * omega[perm] at the
+    same perm.  Under a gauge that row is real, and is kept as its
+    contiguous float64 real part; the pass then runs on float64 states.
+    The start state |s> only picks up the global phase conj(omega(s)),
+    which drops out of E and its gradient.  With c = 0 each unit keeps its
+    string's own factor and H the model's cached rows."""
     c = _phase_gauge(ansatz, model) or 0
-    rotations = tuple((u.generator.action.perm, u.generator.gauged(c).factor(1))
-                      for u in ansatz.units)
-    h_factors = model._gauged_factors(c) if c else model.gather[1]
+    rotations = [(u.generator.action.perm, u.generator.factor(1)) for u in ansatz.units]
+    h_perms, h_factors = model.gather
+    if c:
+        b = np.arange(1 << ansatz.n_qubits)
+        count = sum((b >> q) & 1 for q in range(ansatz.n_qubits) if (c >> q) & 1)
+        omega = np.array([1, 1j, -1, -1j])[count % 4]
+
+        def conjugated(perm, factor):
+            return np.ascontiguousarray((omega.conj() * factor * omega[perm]).real)
+
+        rotations = [(perm, conjugated(perm, factor)) for perm, factor in rotations]
+        h_factors = conjugated(h_perms, h_factors)
     dtype = np.result_type(h_factors, *(f for _, f in rotations))
     start = basis_state(ansatz.n_qubits, ansatz.start_state).real.astype(dtype)
-    return _Circuit(start, rotations, model.gather[0], h_factors)
+    return _Circuit(start, tuple(rotations), h_perms, h_factors)
 
 
 def _phase_gauge(ansatz: ProductAnsatz, model: HamiltonianModel) -> int | None:
     """A mask c under which H and every R = i * T are real matrices, or None.
 
-    Conjugation by omega (``PauliString.gauged``) takes i^p X^x Z^z to a
-    string of phase p - popcount(c & x), so it is real exactly when
+    omega is a product of S gates, and S^dagger X S = -Y while S leaves Z
+    alone, so conjugation by omega takes i^p X^x Z^z to
+    i^(p - popcount(c & x)) X^x Z^(z ^ (c & x)).  That is real exactly when
     popcount(c & x) + p is even: one equation over GF(2) per nonzero
     coupling (its phase p) and per generator (p + 1, for the i of R).  The
     field diagonal is always real.  Elimination leaves free bits zero, so c

@@ -44,6 +44,11 @@ class OptimizationOutcome:
 # admits that rounding with a margin and no rise the gradient could resolve.
 ENERGY_ROUNDING = 4 * np.finfo(float).eps
 GRADIENT_MET = "CONVERGENCE: MAX |GRADIENT| <= GTOL AT AN EVALUATED POINT"
+# Default optimizer budget: gradient tolerance, L-BFGS-B iterations per run,
+# and perturbed reruns after a run that ends above tolerance.
+GTOL = 1e-9
+MAX_ITERATIONS = 2000
+RESTARTS = 3
 
 
 class _GradientMet(Exception):
@@ -55,9 +60,9 @@ def optimize(
     ansatz: ProductAnsatz,
     model: HamiltonianModel,
     theta0: Sequence[float],
-    gtol: float = 1e-9,
-    max_iterations: int = 2000,
-    restarts: int = 3,
+    gtol: float = GTOL,
+    max_iterations: int = MAX_ITERATIONS,
+    restarts: int = RESTARTS,
     rng: np.random.Generator | None = None,
 ) -> OptimizationOutcome:
     """Quasi-Newton minimization of the variational energy with analytic
@@ -176,9 +181,7 @@ def first_order_angle(model: HamiltonianModel) -> float:
     series gives no small angle there."""
     e0 = unperturbed_energy(0, model.fields)
     largest = 0.0
-    for c in model.couplings:
-        if c.strength == 0.0:
-            continue
+    for c in model.terms:
         bits, _ = c.operator.apply_to_basis(0)
         gap = unperturbed_energy(bits, model.fields) - e0
         if gap <= 0.0:
@@ -243,24 +246,24 @@ def hierarchy_sweep(
     model: HamiltonianModel,
     plist: PriorityList,
     n_p_max: int,
-    gtol: float = 1e-9,
-    max_iterations: int = 2000,
+    gtol: float = GTOL,
+    max_iterations: int = MAX_ITERATIONS,
     rng: np.random.Generator | None = None,
 ) -> SweepResult:
     """Grow the ansatz one priority-list unit at a time, warm-starting each
     optimization from the previous optimum with the new parameter at zero.
 
-    The full budget runs, at each step, the warm start with up to three
-    perturbed reruns plus ``MULTISTARTS`` seeded random starts (uniform
+    The full budget runs, at each step, the warm start with up to
+    ``RESTARTS`` perturbed reruns plus ``MULTISTARTS`` seeded random starts (uniform
     within a half rotation period) and keeps the best: once couplings are
     strong the warm start alone can lock onto a secondary branch.  When the
     model's ``first_order_angle`` is below ``PERTURBATIVE_ANGLE`` (weaker
     than the TFIM critical coupling), the sweep first tries the warm start
     alone at every step.  If one of those warm runs stalls, ending within
     ``STALL_ITERATIONS`` iterations, the sweep starts over under the full
-    budget from the generator state it began with, so its result is the
-    full budget's bit for bit, and ``discarded_pass`` records what the
-    thrown-away pass cost.  Either way the warm start guarantees the error
+    budget.  The perturbative pass draws nothing from ``rng``, so the
+    result is the full budget's bit for bit, and ``discarded_pass`` records
+    what the thrown-away pass cost.  Either way the warm start guarantees the error
     never increases with the unit count.
 
     Row 0 is the bare start state; the relative error is measured against
@@ -275,13 +278,11 @@ def hierarchy_sweep(
     angle = first_order_angle(model)
     discarded = None
     if angle < PERTURBATIVE_ANGLE:
-        state = rng.bit_generator.state
         result = _grow(model, plist, n_p_max, gtol, max_iterations, rng, e_ref,
                        perturbative=True)
         if isinstance(result, SweepResult):
             return replace(result, first_order_angle=angle, budget="perturbative")
         discarded = result
-        rng.bit_generator.state = state
     result = _grow(model, plist, n_p_max, gtol, max_iterations, rng, e_ref,
                    perturbative=False)
     return replace(result, first_order_angle=angle, discarded_pass=discarded)
@@ -305,7 +306,7 @@ def _grow(
         return (value - e_ref) / abs(e_ref)
 
     pass_began = time.perf_counter()
-    reruns = 0 if perturbative else 3  # 3 is optimize's default
+    reruns = 0 if perturbative else RESTARTS
     e_bare = energy(basis_state(model.n_qubits, 0), model)
     rows = [SweepRow(0, e_bare, eps(e_bare), (), 0)]
     theta = np.zeros(0)

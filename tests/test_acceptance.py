@@ -16,7 +16,6 @@ from pertvqe.hierarchy import (
     ThetaEstimator,
     build_priority_list,
     duplication_defect,
-    estimate_thetas,
 )
 from pertvqe.pauli import PauliString
 from pertvqe.perturbation import (
@@ -134,7 +133,7 @@ def test_criterion_03_angle_estimate_fourth_order():
 
 def test_criterion_04_chain_hierarchy_count():
     model = tfim_chain(8, 1.0, 1.0)
-    estimates = estimate_thetas(model, build_qca(8), 4)
+    estimates = ThetaEstimator(model, build_qca(8), 4).estimates()
     by_label = {e.slot.generator.to_label(): e for e in estimates}
     far = by_label["XIIIYIII"]
     ladder = by_label["XXXYIIII"]
@@ -149,7 +148,7 @@ def test_criterion_04_chain_hierarchy_count():
 
 def test_criterion_04_chain_fourth_order_values():
     model = tfim_chain(8, 1.0, 1.0)
-    estimates = estimate_thetas(model, build_qca(8), 4)
+    estimates = ThetaEstimator(model, build_qca(8), 4).estimates()
     by_label = {e.slot.generator.to_label(): e for e in estimates}
     far = by_label["XIIIYIII"].theta_tilde
     ladder = by_label["XXXYIIII"].theta_tilde

@@ -451,6 +451,11 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
      "model: true is not a number"),
     ("sweep", {"sweep": {"gtol": True}}, "sweep.gtol: true is not a number"),
     ("sweep", {"sweep": {"j_values": [0.15, True]}}, "sweep.j_values: true is not a number"),
+    ("sweep", {"sweep": {"gtoll": 0.5}}, "config error: unknown key sweep.gtoll\n"),
+    ("hierarchy", {"hierachy": {"mode": "rev"}}, "config error: unknown key hierachy\n"),
+    ("hierarchy", {"kmax": 9}, "config error: unknown key kmax\n"),
+    ("hierarchy", {"hierarchy": {"mode": "rev", "orderin": "parent"}},
+     "config error: unknown key hierarchy.orderin\n"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
         "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
         "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
@@ -460,7 +465,8 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
         "k_max-true", "n_p_max-true", "max_iterations-true", "n_qubits-true",
         "tfim-h-nan", "tfim-j-inf", "coupling-j-nan", "coupling-j-inf", "custom-h-inf",
         "tfim-h-true", "custom-h-false", "coupling-j-true", "gtol-true",
-        "j_values-true"])
+        "j_values-true", "sweep-unknown-key", "top-unknown-section", "top-unknown-key",
+        "hierarchy-unknown-key"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2

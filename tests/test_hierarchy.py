@@ -10,7 +10,6 @@ from pertvqe.hierarchy import (
     build_priority_list,
     check_matched,
     duplication_defect,
-    estimate_thetas,
     hierarchy_to_json,
     qca_slot,
 )
@@ -92,7 +91,8 @@ def test_estimator_refuses_an_ansatz_other_than_the_parent():
     for ansatz in (swapped, pruned, build_qca(4)):
         with pytest.raises(ValueError):
             ThetaEstimator(model, ansatz, 2)
-    assert estimate_thetas(model, qca, 2) == estimate_thetas(model, None, 2)
+    assert (ThetaEstimator(model, qca, 2).estimates()
+            == ThetaEstimator(model, None, 2).estimates())
 
 
 # -- angle estimates -----------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_estimator_refuses_an_ansatz_other_than_the_parent():
 
 def tfim4_estimates(j=1.0, k_max=4):
     model = tfim_chain(4, 1.0, j)
-    return model, estimate_thetas(model, build_qca(4), k_max)
+    return model, ThetaEstimator(model, build_qca(4), k_max).estimates()
 
 
 def test_estimates_four_site_values():
@@ -134,7 +134,7 @@ def test_estimates_match_dense_angle_oracle():
         generators = even_sector_generators(model)
         coeffs = dense_angle_oracle(model, generators)
         estimates = {
-            e.slot.generator: e for e in estimate_thetas(model, build_qca(4), 4)
+            e.slot.generator: e for e in ThetaEstimator(model, build_qca(4), 4).estimates()
         }
         assert set(estimates) == set(generators)
         for unit, gen in enumerate(generators):
@@ -153,7 +153,7 @@ def test_chain_estimates_match_dense_angle_oracle():
     generators = even_sector_generators(model)
     coeffs = dense_angle_oracle(model, generators)
     estimates = {
-        e.slot.generator: e for e in estimate_thetas(model, build_qca(8), 4)
+        e.slot.generator: e for e in ThetaEstimator(model, build_qca(8), 4).estimates()
     }
     assert len(estimates) == 27 and set(estimates) <= set(generators)
     oracle = {}
@@ -222,7 +222,7 @@ def test_estimates_are_real_and_assign_single_phase_class():
 
 def test_chain_order_four_slots_and_count():
     model = tfim_chain(8, 1.0, 1.0)
-    estimates = estimate_thetas(model, build_qca(8), 4)
+    estimates = ThetaEstimator(model, build_qca(8), 4).estimates()
     assert len(estimates) == 5 * 8 - 13
     by_label = {e.slot.generator.to_label(): e for e in estimates}
     far = by_label["XIIIYIII"]  # target flips qubits 0 and 4
@@ -278,7 +278,7 @@ def test_long_chains_are_size_extensive(k_max, counts, shapes):
     # included, takes one angle, the same bit for bit at every n
     angles: dict[str, set[float]] = {}
     for n, count in zip((16, 32, 64), counts):
-        estimates = estimate_thetas(tfim_chain(n, 1.0, 0.15), None, k_max)
+        estimates = ThetaEstimator(tfim_chain(n, 1.0, 0.15), None, k_max).estimates()
         assert len(estimates) == count
         positions: dict[str, set[int]] = {}
         for e in estimates:
@@ -313,7 +313,8 @@ def test_slot_angles_depend_only_on_the_parameters_inside_their_support(k_max):
     j2[cut - 1:] = rng.uniform(0.1, 0.2, n - cut)
     before, after = (
         {(e.slot.state, e.slot.a): e.theta_tilde
-         for e in estimate_thetas(disordered_xx_chain(fields, couplings), None, k_max)}
+         for e in ThetaEstimator(disordered_xx_chain(fields, couplings), None,
+                                 k_max).estimates()}
         for fields, couplings in ((h, j), (h2, j2))
     )
     assert before.keys() == after.keys()
@@ -373,7 +374,8 @@ def j_shortcut_weights(model, leading):
 def test_j_weights_single_leading_index(rng):
     model = tfim_chain(4, 1.0, 0.25)
     weights = j_shortcut_weights(model, enumerate_leading(model, 4))
-    est = {(e.slot.state, e.slot.a): e for e in estimate_thetas(model, build_qca(4), 4)}
+    est = {(e.slot.state, e.slot.a): e
+           for e in ThetaEstimator(model, build_qca(4), 4).estimates()}
     for key, w in weights.items():
         assert w == pytest.approx(est[key].j_weight)
     # uniform couplings: an order-n slot weighs J^n
@@ -384,7 +386,7 @@ def test_j_weights_single_leading_index(rng):
 
 def test_j_weight_order_matches_theta_order():
     model = tfim_chain(4, 1.0, 0.15)
-    estimates = estimate_thetas(model, build_qca(4), 4)
+    estimates = ThetaEstimator(model, build_qca(4), 4).estimates()
     by_theta = sorted(estimates, key=lambda e: -abs(e.theta_tilde))
     by_weight = sorted(estimates, key=lambda e: -abs(e.j_weight))
 

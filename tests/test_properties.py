@@ -1,15 +1,15 @@
 """Property tests of the compiled Pauli action and the stacked Hamiltonian
 apply, of multi-index arithmetic against the validating constructor, of the
 real and complex paths of the adjoint gradient (and of the phase-gauge rule
-that picks between them) against independent dense oracles, of the signs
-the coefficient recursion uses against ``relative_sign``, of its memoized
-coupling powers against ``pauli_power``, of the leading-diagram key
-against ``state_and_phase`` and ``build_diagram``, of parameter removal and
-fixing on layered ansatzes, and of every parameter edit against an oracle
-that removes one parameter at a time."""
+that picks between them, and the gauged rows it compiles) against
+independent dense oracles, of the signs the coefficient recursion uses
+against ``relative_sign``, of its memoized coupling powers against
+``pauli_power``, of the leading-diagram key against ``state_and_phase`` and
+``build_diagram``, of parameter removal and fixing on layered ansatzes, and
+of every parameter edit against an oracle that removes one parameter at a
+time."""
 
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
@@ -122,19 +122,28 @@ def real_cases(draw):
 
 
 def energy_gradient_and_path(ansatz, theta, model):
-    """energy_and_gradient plus whether every state its forward and backward
-    passes rotated was float64 (the real-arithmetic path); a mix of dtypes
-    is neither path and fails here."""
-    with mock.patch.object(simulator, "_apply_r", wraps=simulator._apply_r) as spy:
-        value, grad = energy_and_gradient(ansatz, theta, model)
-    dtypes = {call.args[0].dtype for call in spy.call_args_list}
-    assert dtypes in ({np.dtype(np.float64)}, {np.dtype(np.complex128)})
-    return value, grad, dtypes == {np.dtype(np.float64)}
+    """energy_and_gradient plus whether its compiled pass runs on float64
+    states (the real-arithmetic path).  Every state the pass rotates has
+    the start state's dtype exactly when that is the result type of the
+    start and every factor; a float64 start with a complex factor would mix
+    dtypes, which is neither path and fails here."""
+    value, grad = energy_and_gradient(ansatz, theta, model)
+    circuit = simulator._compiled(ansatz, model)
+    dtype = circuit.start.dtype
+    assert dtype in (np.float64, np.complex128)
+    assert dtype == np.result_type(circuit.start, circuit.h_factors,
+                                   *(f for _, f in circuit.rotations))
+    return value, grad, dtype == np.float64
 
 
 def assert_matches_oracles(ansatz, theta, model, value, grad):
     assert abs(value - energy(prepare(ansatz, theta), model)) <= 1e-12
     assert np.max(np.abs(grad - shift_rule_gradient(ansatz, theta, model))) <= 1e-12
+
+
+def gauge_diagonal(n, c):
+    """The phase gauge omega(b) = i^popcount(c & b) over 2**n amplitudes."""
+    return np.array([1j ** (b & c).bit_count() for b in range(1 << n)])
 
 
 def gauge_exists(ansatz, model):
@@ -147,7 +156,7 @@ def gauge_exists(ansatz, model):
             for c in model.couplings if c.strength != 0.0]
     mats += [1j * kron_matrix(u.generator) for u in ansatz.units]
     for c in range(1 << n):
-        omega = np.array([1j ** (b & c).bit_count() for b in range(1 << n)])
+        omega = gauge_diagonal(n, c)
         if all(np.all((omega.conj()[:, None] * m * omega).imag == 0) for m in mats):
             return True
     return False
@@ -364,22 +373,11 @@ def test_factor_is_the_rows_of_i_power_times_the_matrix():
                 assert f is op.action.real
         # the rotation step R = i * op keeps a real state real when R is real
         for psi in (real_psi, real_psi + 1j * rng.standard_normal(dim)):
-            got = simulator._apply_r(psi, perm, op.factor(1))
+            got = op.factor(1) * psi[perm]
             expected = (1j * kron_matrix(op))[rows, perm] * psi[perm]
             assert np.array_equal(got, expected)
             assert (got.dtype == np.float64) == (
                 psi.dtype == np.float64 and op.phase_exp % 2 == 1)
-
-
-def test_gauged_is_the_dense_conjugation_for_every_string_and_mask():
-    for op in every_string():
-        dense = kron_matrix(op)
-        for c in range(1 << op.n_qubits):
-            omega = np.array([1j ** (b & c).bit_count() for b in range(dense.shape[0])])
-            gauged = op.gauged(c)
-            assert gauged.x_mask == op.x_mask
-            assert (gauged is op) == (c & op.x_mask == 0)
-            assert np.array_equal(kron_matrix(gauged), omega.conj()[:, None] * dense * omega)
 
 
 # -- real and complex adjoint paths -------------------------------------------
@@ -461,6 +459,39 @@ def test_xy_chain_pert_parent_ansatz_runs_in_float64():
     value, grad, real = energy_gradient_and_path(ansatz, theta, model)
     assert real
     assert_matches_oracles(ansatz, theta, model, value, grad)
+    assert_gauged_rows_are_the_dense_conjugation(ansatz, model)
+
+
+def assert_gauged_rows_are_the_dense_conjugation(ansatz, model):
+    """Under a gauge c != 0, each compiled row f at gather perm is row b of
+    omega^dagger M omega at column perm[b], with M = i*T for a unit and
+    J * V for an H term (the field diagonal for H row 0); each is a
+    C-contiguous float64 array."""
+    c = simulator._phase_gauge(ansatz, model)
+    assert c
+    circuit = simulator._compiled(ansatz, model)
+    omega = gauge_diagonal(ansatz.n_qubits, c)
+    rows = np.arange(omega.size)
+
+    def assert_row(perm, factor, dense):
+        assert factor.dtype == np.float64 and factor.flags.c_contiguous
+        assert np.array_equal(factor, (omega.conj()[:, None] * dense * omega)[rows, perm])
+
+    for unit, (perm, factor) in zip(ansatz.units, circuit.rotations):
+        assert_row(perm, factor, 1j * kron_matrix(unit.generator))
+    terms = [np.diag(model.diagonal).astype(complex)]
+    terms += [t.strength * kron_matrix(t.operator) for t in model.terms]
+    assert len(circuit.h_factors) == len(terms)
+    for perm, factor, dense in zip(circuit.h_perms, circuit.h_factors, terms):
+        assert_row(perm, factor, dense)
+
+
+@PROPERTY
+@given(gauge_cases())
+def test_gauged_rows_are_the_dense_conjugation(case):
+    ansatz, model, _ = case
+    assume(simulator._phase_gauge(ansatz, model))
+    assert_gauged_rows_are_the_dense_conjugation(ansatz, model)
 
 
 @PROPERTY

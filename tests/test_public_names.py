@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "ThetaEstimator", "apply_rotation", "basis_state", "build_diagram",
     "build_priority_list", "build_qca", "check_matched", "energy",
     "energy_and_gradient", "enforce_conjugation", "enforce_symmetry",
-    "enumerate_connected", "enumerate_leading", "estimate_thetas", "exact_ground",
+    "enumerate_connected", "enumerate_leading", "exact_ground",
     "export_dot", "fidelity", "fix_parameter", "gram_matrix", "hierarchy_sweep",
     "is_disconnected_split", "manifold_area", "optimize", "pauli_power",
     "perturbative_state", "prepare", "qca_slot", "relative_sign", "remove_parameter",
