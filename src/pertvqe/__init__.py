@@ -34,10 +34,6 @@ from .hierarchy import (
 from .pauli import (
     MultiIndex,
     PauliString,
-    pauli_power,
-    relative_sign,
-    state_and_phase,
-    support,
     unperturbed_energy,
 )
 from .perturbation import (

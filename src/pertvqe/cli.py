@@ -36,7 +36,7 @@ from .perturbation import (
     tfim_chain,
 )
 from .simulator import QUBIT_CAP, best_fidelity
-from .vqe import GTOL, MAX_ITERATIONS, hierarchy_sweep, sweep_thetas_json, sweep_to_csv
+from .vqe import hierarchy_sweep, sweep_thetas_json, sweep_to_csv
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -52,6 +52,11 @@ DEFAULT_HIERARCHIES = [
     ["loc", "hierarchy"],
 ]
 
+# The keys the top level and the hierarchy section may hold; the command-line
+# overrides check them too.
+CONFIG_KEYS = ("model", "k_max", "hierarchy", "sweep", "out")
+HIERARCHY_KEYS = ("mode", "ordering", "tie_seed")
+
 
 @dataclass
 class RunConfig:
@@ -63,22 +68,19 @@ class RunConfig:
     ordering: str
     tie_seed: int | None
     n_p_max: int
-    gtol: float
-    max_iterations: int
     j_values: list
     hierarchies: list
     out: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        _object(raw, "config", ("model", "k_max", "hierarchy", "sweep", "out"))
+        _object(raw, "config", CONFIG_KEYS)
         if "model" not in raw:
             raise ConfigError("config requires a 'model' section")
         model = _parse_model(raw["model"])
-        hier = _object(raw.get("hierarchy", {}), "hierarchy",
-                       ("mode", "ordering", "tie_seed"))
+        hier = _object(raw.get("hierarchy", {}), "hierarchy", HIERARCHY_KEYS)
         sweep = _object(raw.get("sweep", {}), "sweep",
-                        ("n_p_max", "gtol", "max_iterations", "j_values", "hierarchies"))
+                        ("n_p_max", "j_values", "hierarchies"))
         cfg = cls(
             model=model,
             k_max=_convert(_integer, raw, "k_max", 4),
@@ -87,9 +89,6 @@ class RunConfig:
             tie_seed=None if hier.get("tie_seed") is None
             else _convert(_integer, hier, "tie_seed", None, "hierarchy."),
             n_p_max=_convert(_integer, sweep, "n_p_max", 30, "sweep."),
-            gtol=_convert(_real, sweep, "gtol", GTOL, "sweep."),
-            max_iterations=_convert(_integer, sweep, "max_iterations", MAX_ITERATIONS,
-                                    "sweep."),
             j_values=_convert(_real, sweep, "j_values", [0.15, 6.0, 1.0], "sweep."),
             hierarchies=_convert(list, sweep, "hierarchies", DEFAULT_HIERARCHIES, "sweep."),
             out=raw.get("out", "."),
@@ -105,11 +104,6 @@ class RunConfig:
             raise ConfigError(f"sweep.j_values must be finite, got {cfg.j_values}")
         if cfg.n_p_max < 0:
             raise ConfigError(f"sweep.n_p_max must be at least 0, got {cfg.n_p_max}")
-        if not (math.isfinite(cfg.gtol) and cfg.gtol > 0):
-            raise ConfigError(f"sweep.gtol must be finite and positive, got {cfg.gtol}")
-        if cfg.max_iterations < 1:
-            raise ConfigError(
-                f"sweep.max_iterations must be at least 1, got {cfg.max_iterations}")
         if cfg.mode not in MODES:
             raise ConfigError(f"unknown hierarchy mode {cfg.mode!r}")
         if cfg.ordering not in ORDERINGS:
@@ -138,13 +132,13 @@ def _convert(kind, section: dict, key: str, default, where: str = ""):
         raise ConfigError(f"{where}{key}: {exc}") from exc
 
 
-def _object(value, where: str, keys: tuple[str, ...] | None = None) -> dict:
-    """``value`` if it is a JSON object and, when ``keys`` is given, holds
-    no other key: a misspelled key would silently run with its default.
-    Anything else is a ConfigError."""
+def _object(value, where: str, keys: tuple[str, ...]) -> dict:
+    """``value`` if it is a JSON object holding no key but ``keys``: a
+    misspelled key would silently run with its default.  Anything else is a
+    ConfigError."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
-    unknown = [key for key in value if keys is not None and key not in keys]
+    unknown = [key for key in value if key not in keys]
     if unknown:
         name = unknown[0] if where == "config" else f"{where}.{unknown[0]}"
         raise ConfigError(f"unknown key {name}")
@@ -178,19 +172,24 @@ def _finite(value) -> float:
 
 
 def _parse_model(raw: dict) -> HamiltonianModel:
-    kind = _object(raw, "model").get("type", "tfim")
+    kind = raw.get("type", "tfim") if isinstance(raw, dict) else "tfim"
     if kind not in ("tfim", "custom"):
         raise ConfigError(f"unknown model type {kind!r}")
+    _object(raw, "model", ("type", "n_qubits", "h", "j") if kind == "tfim"
+            else ("type", "h", "couplings"))
     try:
         if kind == "tfim":
             return tfim_chain(
                 _integer(raw["n_qubits"]), _finite(raw.get("h", 1.0)), _finite(raw.get("j", 0.0))
             )
-        couplings = tuple(
-            Coupling(_finite(c["j"]), PauliString.from_label(c["pauli"]))
-            for c in raw["couplings"]
-        )
-        return HamiltonianModel(tuple(_finite(h) for h in raw["h"]), couplings)
+        couplings = []
+        for i, entry in enumerate(raw["couplings"]):
+            entry = _object(entry, f"model.couplings[{i}]", ("j", "pauli"))
+            couplings.append(
+                Coupling(_finite(entry["j"]), PauliString.from_label(entry["pauli"])))
+        return HamiltonianModel(tuple(_finite(h) for h in raw["h"]), tuple(couplings))
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"model: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -255,10 +254,8 @@ def cmd_diagrams(cfg: RunConfig) -> int:
 def _sweep_task(args):
     cfg, plist, j_value = args
     target = cfg.model.rescaled(j_value / cfg.model.strengths[0])
-    result = hierarchy_sweep(
-        target, plist, cfg.n_p_max, cfg.gtol, cfg.max_iterations,
-        rng=np.random.default_rng(cfg.tie_seed or 0),
-    )
+    result = hierarchy_sweep(target, plist, cfg.n_p_max,
+                             rng=np.random.default_rng(cfg.tie_seed or 0))
     stem = _sweep_stem(plist.mode, plist.ordering, j_value)
     return stem, sweep_to_csv(result), sweep_thetas_json(result), result.reference_energy
 
@@ -377,11 +374,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        _object(raw, "config")
+        _object(raw, "config", CONFIG_KEYS)
         if args.out:
             raw["out"] = args.out
         if args.seed is not None:
-            _object(raw.setdefault("hierarchy", {}), "hierarchy")["tie_seed"] = args.seed
+            _object(raw.setdefault("hierarchy", {}), "hierarchy",
+                    HIERARCHY_KEYS)["tie_seed"] = args.seed
         cfg = RunConfig.from_dict(raw)
         if args.command == "hierarchy":
             return cmd_hierarchy(cfg)

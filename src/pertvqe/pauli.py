@@ -1,4 +1,5 @@
-"""Exact algebra of multi-qubit Pauli strings and coupling-operator powers.
+"""Exact algebra of multi-qubit Pauli strings, and the multi-indices that
+count coupling applications.
 
 An N-qubit Pauli operator is encoded by two bit masks and a phase exponent:
 
@@ -15,8 +16,11 @@ action of i^power times the string.
 
 Computational basis states are plain integers; bit q of the integer is the
 value of qubit q.  Multi-indices counting coupling applications are
-``MultiIndex`` tuples; the vector power of a coupling list expands
-right-to-left in ascending coupling index (coupling 0 acts first on the ket).
+``MultiIndex`` tuples.  The vector power V^{.k} of a coupling list applies
+each coupling V_b k_b times, in ascending coupling index: coupling 0 acts
+first on the ket, so later couplings multiply from the left, and an even
+count of a Hermitian string collapses to the identity.
+``perturbation.CoefficientTable.power`` computes it.
 """
 
 from __future__ import annotations
@@ -275,44 +279,6 @@ def iter_orders(n_couplings: int, max_order: int) -> Iterator[MultiIndex]:
             yield MultiIndex(c)
 
 
-def pauli_power(k: Sequence[int], couplings: Sequence[PauliString]) -> PauliString:
-    """The vector power of the coupling list at multi-index k.
-
-    Expansion is right-to-left in ascending coupling index: coupling 0 is
-    applied first to the ket, so later couplings multiply from the left.
-    Even powers of a Hermitian string collapse to the identity exactly.
-    """
-    if len(k) != len(couplings):
-        raise ValueError("multi-index length must match coupling count")
-    acc = PauliString.identity(couplings[0].n_qubits)
-    for beta, count in enumerate(k):
-        if count % 2:
-            acc = couplings[beta] * acc
-    return acc
-
-
-def relative_sign(
-    k: Sequence[int], kp: Sequence[int], couplings: Sequence[PauliString]
-) -> int:
-    """Sign S with  V^{.k} V^{.k'} = S * V^{.(k+k')}."""
-    left = pauli_power(k, couplings) * pauli_power(kp, couplings)
-    merged = pauli_power([a + b for a, b in zip(k, kp, strict=True)], couplings)
-    diff = (left.phase_exp - merged.phase_exp) % 4
-    if diff not in (0, 2):
-        raise AssertionError("reordering produced a non-real phase")
-    return 1 if diff == 0 else -1
-
-
-def state_and_phase(
-    k: Sequence[int],
-    couplings: Sequence[PauliString],
-    start: int = 0,
-) -> tuple[int, int]:
-    """Apply V^{.k} to |start>, returning the reached basis state and the
-    power of i it picks up."""
-    return pauli_power(k, couplings).apply_to_basis(start)
-
-
 def unperturbed_energy(bits: int, fields: Sequence[float]) -> float:
     """Diagonal energy of |bits> under the on-site field term
     -sum_n h_n Z_n (spin up on every qubit is the reference ground state
@@ -321,15 +287,6 @@ def unperturbed_energy(bits: int, fields: Sequence[float]) -> float:
     for n, h in enumerate(fields):
         total += (-1.0 if (bits >> n) & 1 else 1.0) * h
     return -total
-
-
-def support(k: Sequence[int], couplings: Sequence[PauliString]) -> frozenset[int]:
-    """Qubits touched by any coupling activated in k."""
-    qubits: set[int] = set()
-    for beta, count in enumerate(k):
-        if count > 0:
-            qubits |= couplings[beta].support()
-    return frozenset(qubits)
 
 
 def format_bits(bits: int, n_qubits: int) -> str:

@@ -216,9 +216,11 @@ class CoefficientTable:
     # -- pauli bookkeeping, memoized ----------------------------------------
     @_memoized
     def power(self, k: Sequence[int]) -> PauliString:
-        """V^{.k} (``pauli_power``) as one product with the memoized power one
-        application below: the highest coupling with a nonzero count acts
-        last, and V_top^2 = 1 when its count is even."""
+        """V^{.k}, each coupling V_b applied k_b times in ascending index:
+        coupling 0 acts first on the ket, so later couplings multiply from
+        the left.  One product with the memoized power one application
+        below: the highest coupling with a nonzero count acts last, and
+        V_top^2 = 1 when its count is even."""
         top = max((b for b, count in enumerate(k) if count), default=None)
         if top is None:
             return PauliString.identity(self.model.n_qubits)

@@ -44,8 +44,10 @@ class OptimizationOutcome:
 # admits that rounding with a margin and no rise the gradient could resolve.
 ENERGY_ROUNDING = 4 * np.finfo(float).eps
 GRADIENT_MET = "CONVERGENCE: MAX |GRADIENT| <= GTOL AT AN EVALUATED POINT"
-# Default optimizer budget: gradient tolerance, L-BFGS-B iterations per run,
-# and perturbed reruns after a run that ends above tolerance.
+# The optimizer budget: the gradient tolerance and the L-BFGS-B iterations per
+# run, fixed because ENERGY_ROUNDING and the sweep's stop rules below were
+# measured at these values, and the default number of perturbed reruns after
+# a run that ends above tolerance.
 GTOL = 1e-9
 MAX_ITERATIONS = 2000
 RESTARTS = 3
@@ -60,17 +62,16 @@ def optimize(
     ansatz: ProductAnsatz,
     model: HamiltonianModel,
     theta0: Sequence[float],
-    gtol: float = GTOL,
-    max_iterations: int = MAX_ITERATIONS,
     restarts: int = RESTARTS,
     rng: np.random.Generator | None = None,
 ) -> OptimizationOutcome:
     """Quasi-Newton minimization of the variational energy with analytic
     gradients.
 
-    A run ends at the first point it evaluates with max|dE/dtheta| <= gtol
-    and an energy at most ``ENERGY_ROUNDING``·|E| above the run's lowest so
-    far (message ``GRADIENT_MET``); L-BFGS-B itself tests only the points
+    A run of at most ``MAX_ITERATIONS`` iterations ends at the first point
+    it evaluates with max|dE/dtheta| <= ``GTOL`` and an energy at most
+    ``ENERGY_ROUNDING``·|E| above the run's lowest so far (message
+    ``GRADIENT_MET``); L-BFGS-B itself tests only the points
     its line search accepts.  Such a run is converged, and its iterations
     count the one whose line search evaluated the point (none for the
     start).  If a run ends with the gradient above tolerance, up to
@@ -109,7 +110,7 @@ def optimize(
                 e_start = value
             seen[key] = value, grad.copy()
         lowest = min(lowest, value)
-        if (np.max(np.abs(grad)) <= gtol
+        if (np.max(np.abs(grad)) <= GTOL
                 and value <= lowest + ENERGY_ROUNDING * abs(lowest)):
             raise _GradientMet(theta.copy(), value)
         return value, grad
@@ -133,10 +134,10 @@ def optimize(
                 jac=True,
                 method="L-BFGS-B",
                 callback=count_iteration,
-                options={"maxiter": max_iterations, "gtol": gtol, "ftol": 1e-18},
+                options={"maxiter": MAX_ITERATIONS, "gtol": GTOL, "ftol": 1e-18},
             )
             theta, value, message = np.asarray(res.x), float(res.fun), str(res.message)
-            converged = float(np.max(np.abs(res.jac))) <= gtol
+            converged = float(np.max(np.abs(res.jac))) <= GTOL
         except _GradientMet as stop:
             theta, value = stop.args
             message, converged = GRADIENT_MET, True
@@ -246,8 +247,6 @@ def hierarchy_sweep(
     model: HamiltonianModel,
     plist: PriorityList,
     n_p_max: int,
-    gtol: float = GTOL,
-    max_iterations: int = MAX_ITERATIONS,
     rng: np.random.Generator | None = None,
 ) -> SweepResult:
     """Grow the ansatz one priority-list unit at a time, warm-starting each
@@ -278,13 +277,11 @@ def hierarchy_sweep(
     angle = first_order_angle(model)
     discarded = None
     if angle < PERTURBATIVE_ANGLE:
-        result = _grow(model, plist, n_p_max, gtol, max_iterations, rng, e_ref,
-                       perturbative=True)
+        result = _grow(model, plist, n_p_max, rng, e_ref, perturbative=True)
         if isinstance(result, SweepResult):
             return replace(result, first_order_angle=angle, budget="perturbative")
         discarded = result
-    result = _grow(model, plist, n_p_max, gtol, max_iterations, rng, e_ref,
-                   perturbative=False)
+    result = _grow(model, plist, n_p_max, rng, e_ref, perturbative=False)
     return replace(result, first_order_angle=angle, discarded_pass=discarded)
 
 
@@ -292,8 +289,6 @@ def _grow(
     model: HamiltonianModel,
     plist: PriorityList,
     n_p_max: int,
-    gtol: float,
-    max_iterations: int,
     rng: np.random.Generator,
     e_ref: float,
     perturbative: bool,
@@ -317,10 +312,9 @@ def _grow(
         began = time.perf_counter()
         try:
             # Random starts are the only calls passing restarts=0 by keyword:
-            # benchmarks/tracing.py tells them apart by it, so the warm run's
-            # budget goes in positionally.
-            runs = [optimize(ansatz, model, np.append(theta, 0.0), gtol,
-                             max_iterations, reruns, rng=rng)]
+            # benchmarks/tracing.py tells them apart by it, so the warm run
+            # passes restarts positionally.
+            runs = [optimize(ansatz, model, np.append(theta, 0.0), reruns, rng=rng)]
             if perturbative and runs[0].iterations <= STALL_ITERATIONS:
                 evaluations = sum(s.evaluations for s in steps) + runs[0].evaluations
                 return DiscardedPass(n, evaluations, time.perf_counter() - pass_began)
@@ -328,7 +322,7 @@ def _grow(
             for i in range(0 if perturbative else MULTISTARTS):
                 runs.append(optimize(
                     ansatz, model, rng.uniform(-np.pi / 2, np.pi / 2, n),
-                    gtol, max_iterations, restarts=0, rng=rng,
+                    restarts=0, rng=rng,
                 ))
                 if runs[-1].energy < best.energy:
                     best, start = runs[-1], f"random {i}"

@@ -8,7 +8,12 @@ import pytest
 from pertvqe.ansatz import AnsatzUnit, ProductAnsatz
 from pertvqe.hierarchy import GeneratorSlot
 from pertvqe.pauli import MultiIndex, PauliString, unperturbed_energy
-from pertvqe.perturbation import Coupling, HamiltonianModel, perturbative_state
+from pertvqe.perturbation import (
+    CoefficientTable,
+    Coupling,
+    HamiltonianModel,
+    perturbative_state,
+)
 from pertvqe.simulator import apply_rotation, basis_state, energy
 
 DENSE_QUBIT_CAP = 12
@@ -87,6 +92,34 @@ def dense_hamiltonian(model: HamiltonianModel) -> np.ndarray:
     for c in model.terms:
         h[rows, c.operator.action.perm] += c.strength * c.operator.factor()
     return h
+
+
+def power_matrix(k, ops) -> np.ndarray:
+    """Independent oracle for ``CoefficientTable.power``: V^{.k} as a dense
+    product of ``to_matrix`` factors, each coupling applied k_b times in
+    ascending index (coupling 0 acts first on the ket).  Entries are 0, +-1
+    or +-i, so products compare exactly."""
+    m = np.eye(1 << ops[0].n_qubits, dtype=complex)
+    for op, count in zip(ops, k, strict=True):
+        for _ in range(count):
+            m = op.to_matrix() @ m
+    return m
+
+
+def state_and_phase(k, ops) -> tuple[int, int]:
+    """Independent oracle for ``CoefficientTable.state_phase``: the basis
+    state and the power of i with V^{.k}|0> = i^p |state>, read off the
+    dense product."""
+    column = power_matrix(k, ops)[:, 0]
+    (state,) = np.flatnonzero(column)
+    return int(state), [1, 1j, -1, -1j].index(column[state])
+
+
+def coefficient_table(ops) -> CoefficientTable:
+    """The coefficient table of unit fields and unit-strength couplings
+    ``ops``, whose Pauli powers the tests read."""
+    return CoefficientTable(HamiltonianModel((1.0,) * ops[0].n_qubits,
+                                             tuple(Coupling(1.0, op) for op in ops)))
 
 
 def shift_rule_gradient(

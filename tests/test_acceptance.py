@@ -289,7 +289,6 @@ def test_criterion_09_toy_manifold_geometry():
 
 
 N_SWEEP_UNITS = 30
-SWEEP_GTOL = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +320,7 @@ def convergence_data():
     for j, mode, ordering in wanted:
         model = tfim_chain(n, 1.0, j)
         runs[(j, mode, ordering)] = hierarchy_sweep(
-            model, lists[(mode, ordering)], N_SWEEP_UNITS, gtol=SWEEP_GTOL
+            model, lists[(mode, ordering)], N_SWEEP_UNITS
         )
     elapsed = time.perf_counter() - t0
     return {"runs": runs, "lists": lists, "elapsed": elapsed}

@@ -411,21 +411,15 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
     ("hierarchy", {"k_max": 2.7}, "k_max: 2.7 is not an integer"),
     ("hierarchy", {"hierarchy": {"tie_seed": 1.5}}, "hierarchy.tie_seed: 1.5 is not"),
     ("sweep", {"sweep": {"n_p_max": 2.5}}, "sweep.n_p_max: 2.5 is not"),
-    ("sweep", {"sweep": {"max_iterations": 10.5}}, "sweep.max_iterations: 10.5 is not"),
     ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4.5}}, "4.5 is not an integer"),
     ("hierarchy", {"hierarchy": {"tie_seed": -1}}, "tie_seed (--seed) must be at least 0"),
     ("hierarchy", {"out": 5}, "out must be a string, got int"),
     ("sweep", {"sweep": {"j_values": [float("nan")]}}, "sweep.j_values must be finite"),
-    ("sweep", {"sweep": {"gtol": "nan"}}, "sweep.gtol must be finite and positive"),
-    ("sweep", {"sweep": {"gtol": -1}}, "sweep.gtol must be finite and positive"),
-    ("sweep", {"sweep": {"max_iterations": 0}}, "sweep.max_iterations must be at least 1"),
     ("sweep", {"sweep": {"hierarchies": [5]}}, "sweep.hierarchies:"),
     ("hierarchy", {"hierarchy": {"tie_seed": False}},
      "hierarchy.tie_seed: false is not an integer"),
     ("hierarchy", {"k_max": True}, "k_max: true is not an integer"),
     ("sweep", {"sweep": {"n_p_max": True}}, "sweep.n_p_max: true is not an integer"),
-    ("sweep", {"sweep": {"max_iterations": True}},
-     "sweep.max_iterations: true is not an integer"),
     ("hierarchy", {"model": {"type": "tfim", "n_qubits": True}},
      "true is not an integer"),
     ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4, "h": float("nan")}},
@@ -449,24 +443,40 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
     ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.0],
                              "couplings": [{"j": True, "pauli": "XX"}]}},
      "model: true is not a number"),
-    ("sweep", {"sweep": {"gtol": True}}, "sweep.gtol: true is not a number"),
     ("sweep", {"sweep": {"j_values": [0.15, True]}}, "sweep.j_values: true is not a number"),
     ("sweep", {"sweep": {"gtoll": 0.5}}, "config error: unknown key sweep.gtoll\n"),
     ("hierarchy", {"hierachy": {"mode": "rev"}}, "config error: unknown key hierachy\n"),
     ("hierarchy", {"kmax": 9}, "config error: unknown key kmax\n"),
     ("hierarchy", {"hierarchy": {"mode": "rev", "orderin": "parent"}},
      "config error: unknown key hierarchy.orderin\n"),
+    ("sweep", {"sweep": {"gtol": 1e-9}}, "config error: unknown key sweep.gtol\n"),
+    ("sweep", {"sweep": {"max_iterations": 10}},
+     "config error: unknown key sweep.max_iterations\n"),
+    ("hierarchy", {"model": {"type": "tfim", "n_qubits": 4, "h": 1.0, "jj": 0.5}},
+     "config error: unknown key model.jj\n"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.0], "hh": [1.0, 1.0],
+                             "couplings": [{"j": 0.1, "pauli": "XX"}]}},
+     "config error: unknown key model.hh\n"),
+    ("hierarchy", {"model": {"type": "custom", "h": [1.0, 1.0],
+                             "couplings": [{"j": 0.1, "pauli": "XX"},
+                                           {"jj": 0.1, "pauli": "YY"}]}},
+     "config error: unknown key model.couplings[1].jj\n"),
+    ("hierarchy", {"model": {"type": "custom", "n_qubits": 2, "h": [1.0, 1.0],
+                             "couplings": [{"j": 0.1, "pauli": "XX"}]}},
+     "config error: unknown key model.n_qubits\n"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
         "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
         "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
-        "n_p_max-fraction", "max_iterations-fraction", "n_qubits-fraction",
-        "tie_seed-negative", "out-number", "j_values-nan", "gtol-nan", "gtol-negative",
-        "max_iterations-zero", "hierarchies-entry-not-a-pair", "tie_seed-false",
-        "k_max-true", "n_p_max-true", "max_iterations-true", "n_qubits-true",
+        "n_p_max-fraction", "n_qubits-fraction",
+        "tie_seed-negative", "out-number", "j_values-nan",
+        "hierarchies-entry-not-a-pair", "tie_seed-false",
+        "k_max-true", "n_p_max-true", "n_qubits-true",
         "tfim-h-nan", "tfim-j-inf", "coupling-j-nan", "coupling-j-inf", "custom-h-inf",
-        "tfim-h-true", "custom-h-false", "coupling-j-true", "gtol-true",
+        "tfim-h-true", "custom-h-false", "coupling-j-true",
         "j_values-true", "sweep-unknown-key", "top-unknown-section", "top-unknown-key",
-        "hierarchy-unknown-key"])
+        "hierarchy-unknown-key", "sweep-gtol-unknown", "sweep-max_iterations-unknown",
+        "tfim-unknown-key", "custom-unknown-key", "coupling-unknown-key",
+        "custom-n_qubits-unknown"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2

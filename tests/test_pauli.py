@@ -6,15 +6,17 @@ from pertvqe.pauli import (
     PauliString,
     format_bits,
     iter_orders,
-    pauli_power,
-    relative_sign,
-    state_and_phase,
-    support,
     unperturbed_energy,
 )
-from pertvqe.perturbation import tfim_chain
+from pertvqe.perturbation import _sign, tfim_chain
 
-from conftest import dense_hamiltonian, random_pauli
+from conftest import (
+    coefficient_table,
+    dense_hamiltonian,
+    power_matrix,
+    random_pauli,
+    state_and_phase,
+)
 
 
 def test_multiply_xy_gives_iz():
@@ -84,51 +86,59 @@ def test_label_round_trip(rng):
 # -- relative sign ------------------------------------------------------------
 
 
+def relative_sign(table, k, kp):
+    """S with V^{.k} V^{.k'} = S * V^{.(k+k')}, from the table's powers as
+    the coefficient recursion signs them."""
+    merged = [a + b for a, b in zip(k, kp, strict=True)]
+    return _sign(table.power(k), table.power(kp), table.power(merged))
+
+
 def test_relative_sign_identity_factor():
-    ops = tfim_chain(4, 1.0, 1.0).operators
+    table = coefficient_table(tfim_chain(4, 1.0, 1.0).operators)
     zero = MultiIndex.zero(3)
     for k in ((1, 0, 0), (2, 1, 0), (1, 1, 1)):
-        assert relative_sign(k, zero, ops) == 1
+        assert relative_sign(table, k, zero) == 1
 
 
 def test_relative_sign_commuting_couplings():
-    ops = tfim_chain(5, 1.0, 1.0).operators
+    table = coefficient_table(tfim_chain(5, 1.0, 1.0).operators)
     assert all(
-        relative_sign(k, kp, ops) == 1
+        relative_sign(table, k, kp) == 1
         for k in iter_orders(4, 2)
         for kp in iter_orders(4, 2)
     )
 
 
 def test_relative_sign_anticommuting_pair():
-    ops = (PauliString.from_label("X"), PauliString.from_label("Z"))
-    assert relative_sign((1, 0), (0, 1), ops) == -1
-    assert relative_sign((0, 1), (1, 0), ops) == 1
+    table = coefficient_table((PauliString.from_label("X"), PauliString.from_label("Z")))
+    assert relative_sign(table, (1, 0), (0, 1)) == -1
+    assert relative_sign(table, (0, 1), (1, 0)) == 1
 
 
 def test_relative_sign_dense(rng):
     for _ in range(30):
         ops = tuple(random_pauli(rng, 3) for _ in range(3))
+        table = coefficient_table(ops)
         k = MultiIndex(rng.integers(0, 3, size=3))
         kp = MultiIndex(rng.integers(0, 3, size=3))
-        sign = relative_sign(k, kp, ops)
+        sign = relative_sign(table, k, kp)
         assert sign in (-1, 1)
-        left = pauli_power(k, ops).to_matrix() @ pauli_power(kp, ops).to_matrix()
-        right = sign * pauli_power(k.add(kp), ops).to_matrix()
-        assert np.allclose(left, right)
+        left = power_matrix(k, ops) @ power_matrix(kp, ops)
+        assert np.array_equal(left, sign * power_matrix(k.add(kp), ops))
 
 
 # -- state and phase -----------------------------------------------------------
 
 
 def test_state_and_phase_empty_product():
-    ops = tfim_chain(4, 1.0, 1.0).operators
-    assert state_and_phase((0, 0, 0), ops, start=0b0101) == (0b0101, 0)
+    table = coefficient_table(tfim_chain(4, 1.0, 1.0).operators)
+    assert table.state_phase((0, 0, 0)) == (0, 0)
+    assert table.power((0, 0, 0)).apply_to_basis(0b0101) == (0b0101, 0)
 
 
 def test_state_and_phase_tfim_first_coupling():
-    ops = tfim_chain(4, 1.0, 1.0).operators
-    state, phase = state_and_phase((1, 0, 0), ops)
+    table = coefficient_table(tfim_chain(4, 1.0, 1.0).operators)
+    state, phase = table.state_phase((1, 0, 0))
     assert format_bits(state, 4) == "1100"
     assert phase == 0
 
@@ -139,15 +149,7 @@ def test_state_and_phase_matches_dense(rng):
         k = MultiIndex(rng.integers(0, 3, size=3))
         if k.order > 4:
             continue
-        state, phase = state_and_phase(k, ops)
-        vec = np.zeros(16, dtype=complex)
-        vec[0] = 1.0
-        for beta in range(3):
-            for _ in range(k[beta]):
-                vec = ops[beta].to_matrix() @ vec
-        expect = np.zeros(16, dtype=complex)
-        expect[state] = 1j**phase
-        assert np.allclose(vec, expect)
+        assert coefficient_table(ops).state_phase(k) == state_and_phase(k, ops)
 
 
 def test_phase_parity_counts_y_factors(rng):
@@ -155,7 +157,7 @@ def test_phase_parity_counts_y_factors(rng):
     for _ in range(40):
         ops = tuple(random_pauli(rng, 4) for _ in range(3))
         k = MultiIndex(rng.integers(0, 3, size=3))
-        _, phase = state_and_phase(k, ops)
+        _, phase = coefficient_table(ops).state_phase(k)
         y_total = sum(k[b] * ops[b].y_count for b in range(3))
         assert phase % 2 == y_total % 2
 
@@ -186,9 +188,9 @@ def test_energy_matches_dense_diagonal(rng):
 
 def test_support_cases():
     ops = tfim_chain(4, 1.0, 1.0).operators
-    assert support((0, 0, 0), ops) == frozenset()
-    assert support((1, 0, 1), ops) == frozenset({0, 1, 2, 3})
-    assert support((1, 1, 0), ops) == frozenset({0, 1, 2})
+    assert [op.support() for op in ops] == [{0, 1}, {1, 2}, {2, 3}]
+    assert PauliString.identity(3).support() == frozenset()
+    assert PauliString.from_label("ZIY").support() == frozenset({0, 2})
 
 
 # -- multi-index ----------------------------------------------------------------------

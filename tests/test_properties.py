@@ -3,9 +3,9 @@ apply, of multi-index arithmetic against the validating constructor, of the
 real and complex paths of the adjoint gradient (and of the phase-gauge rule
 that picks between them, and the gauged rows it compiles) against
 independent dense oracles, of the signs the coefficient recursion uses
-against ``relative_sign``, of its memoized coupling powers against
-``pauli_power``, of the leading-diagram key against ``state_and_phase`` and
-``build_diagram``, of parameter removal and fixing on layered ansatzes, and
+and its memoized coupling powers against dense products of the couplings'
+matrices, of the leading-diagram key against the dense ``state_and_phase``
+and ``build_diagram``, of parameter removal and fixing on layered ansatzes, and
 of every parameter edit against an oracle that removes one parameter at a
 time."""
 
@@ -29,17 +29,18 @@ import pytest
 
 from pertvqe.diagrams import build_diagram, enumerate_connected, enumerate_leading
 from pertvqe.hierarchy import build_priority_list
-from pertvqe.pauli import (
-    MultiIndex,
-    PauliString,
-    pauli_power,
-    relative_sign,
-    state_and_phase,
-)
-from pertvqe.perturbation import CoefficientTable, Coupling, HamiltonianModel, _sign
+from pertvqe.pauli import MultiIndex, PauliString
+from pertvqe.perturbation import Coupling, HamiltonianModel, _sign
 from pertvqe.simulator import energy, energy_and_gradient, prepare
 
-from conftest import remove_one_at_a_time, shift_rule_gradient, tie_one_at_a_time
+from conftest import (
+    coefficient_table,
+    power_matrix,
+    remove_one_at_a_time,
+    shift_rule_gradient,
+    state_and_phase,
+    tie_one_at_a_time,
+)
 
 PROPERTY = settings(deadline=None, max_examples=40)
 
@@ -258,11 +259,8 @@ def test_pauli_products_associate_with_matrix_phases(ops):
 @PROPERTY
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_references_are_the_reference_returning_sub_indices(n, n_couplings, data):
-    couplings = tuple(
-        Coupling(1.0, data.draw(labels(n, odd_y=data.draw(st.booleans()))))
-        for _ in range(n_couplings)
-    )
-    table = CoefficientTable(HamiltonianModel((1.0,) * n, couplings))
+    table = coefficient_table([data.draw(labels(n, odd_y=data.draw(st.booleans())))
+                               for _ in range(n_couplings)])
     k = MultiIndex(data.draw(st.lists(st.integers(0, 3), min_size=n_couplings,
                                       max_size=n_couplings)))
     scanned = [kp for kp in k.sub_indices() if table.state_phase(kp)[0] == 0]
@@ -284,20 +282,20 @@ def anticommuting_couplings(draw):
 @given(anticommuting_couplings(), st.data())
 def test_tilde_signs_equal_the_relative_sign_oracle(ops, data):
     # tilde signs each term as _sign(power(a), power(b), power(a + b)) for
-    # a + b <= k, with the power at a unit index read as the coupling itself
-    n = ops[0].n_qubits
-    table = CoefficientTable(HamiltonianModel((1.0,) * n, tuple(
-        Coupling(1.0, op) for op in ops)))
+    # a + b <= k, with the power at a unit index read as the coupling itself;
+    # the oracle is the dense product V^{.a} V^{.b} = S V^{.(a+b)}
+    table = coefficient_table(ops)
     for beta, op in enumerate(ops):
         assert table.power(MultiIndex.delta(len(ops), beta)) == op
     k = MultiIndex(data.draw(st.lists(st.integers(1, 2), min_size=len(ops),
                                       max_size=len(ops))))
+    dense = {sub: power_matrix(sub, ops) for sub in k.sub_indices()}
     signs = set()
     for merged in k.sub_indices():
         for right in merged.sub_indices():
             left = merged.sub(right)
             sign = _sign(table.power(left), table.power(right), table.power(merged))
-            assert sign == relative_sign(left, right, ops)
+            assert np.array_equal(dense[left] @ dense[right], sign * dense[merged])
             signs.add(sign)
     assert signs == {1.0, -1.0}
 
@@ -306,15 +304,14 @@ def test_tilde_signs_equal_the_relative_sign_oracle(ops, data):
 @given(anticommuting_couplings(), st.data())
 def test_memoized_powers_equal_pauli_power(ops, data):
     # power multiplies the top coupling onto the memoized power one unit
-    # below, whatever order the lookups come in; pauli_power starts afresh
-    n = ops[0].n_qubits
-    table = CoefficientTable(HamiltonianModel((1.0,) * n, tuple(
-        Coupling(1.0, op) for op in ops)))
+    # below, whatever order the lookups come in; the dense product starts
+    # afresh
+    table = coefficient_table(ops)
     indices = st.lists(st.integers(0, 3), min_size=len(ops), max_size=len(ops))
     for k in data.draw(st.lists(indices, min_size=1, max_size=6)):
-        assert table.power(k) == pauli_power(k, ops)
+        assert np.array_equal(table.power(k).to_matrix(), power_matrix(k, ops))
     for k, power in table._memos["power"].items():
-        assert power == pauli_power(k, ops)
+        assert np.array_equal(power.to_matrix(), power_matrix(k, ops))
 
 
 @st.composite

@@ -15,10 +15,9 @@ PUBLIC_NAMES = [
     "energy_and_gradient", "enforce_conjugation", "enforce_symmetry",
     "enumerate_connected", "enumerate_leading", "exact_ground",
     "export_dot", "fidelity", "fix_parameter", "gram_matrix", "hierarchy_sweep",
-    "is_disconnected_split", "manifold_area", "optimize", "pauli_power",
-    "perturbative_state", "prepare", "qca_slot", "relative_sign", "remove_parameter",
-    "respects_conjugation", "series_residual", "state_and_phase", "support",
-    "sweep_thetas_json", "sweep_to_csv", "tfim_chain", "unperturbed_energy",
+    "is_disconnected_split", "manifold_area", "optimize",
+    "perturbative_state", "prepare", "qca_slot", "remove_parameter",
+    "respects_conjugation", "series_residual", "sweep_thetas_json", "sweep_to_csv", "tfim_chain", "unperturbed_energy",
 ]
 
 

@@ -251,7 +251,7 @@ def test_gradient_vanishes_at_optimum():
     model = tfim_chain(3, 1.0, 0.4)
     plist = build_priority_list(model, build_qca(3), 3)
     a = plist.build_ansatz(len(plist.entries))
-    out = optimize(a, model, np.zeros(a.num_params), gtol=1e-9)
+    out = optimize(a, model, np.zeros(a.num_params))
     g = shift_rule_gradient(a, out.theta, model)
     assert np.max(np.abs(g)) <= 1e-8
 

@@ -59,11 +59,12 @@ def test_optimize_rejects_nonfinite_start():
         optimize(a, model, [np.nan] * a.num_params)
 
 
-def test_optimize_never_worse_than_start(rng):
+def test_optimize_never_worse_than_start(rng, monkeypatch):
+    monkeypatch.setattr(pertvqe.vqe, "MAX_ITERATIONS", 3)
     model = tfim_chain(3, 1.0, 2.5)
     a = build_qca(3)
     theta0 = rng.uniform(-1, 1, a.num_params)
-    out = optimize(a, model, theta0, max_iterations=3)
+    out = optimize(a, model, theta0)
     assert out.energy <= energy(prepare(a, theta0), model) + 1e-12
 
 
@@ -128,7 +129,7 @@ def test_optimize_ends_at_a_trial_point_one_ulp_above_the_lowest(monkeypatch):
     plain = _plain_lbfgsb(landscape)
     assert np.max(np.abs(plain.jac)) > GTOL
     monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", landscape)
-    out = optimize(build_qca(1), HamiltonianModel((1.0,), ()), np.zeros(2), GTOL)
+    out = optimize(build_qca(1), HamiltonianModel((1.0,), ()), np.zeros(2))
     assert out.converged and out.reruns == 0 and out.attempt == 0
     assert out.message == pertvqe.vqe.GRADIENT_MET
     assert out.energy == np.nextafter(FLOOR, 0.0)
@@ -143,11 +144,11 @@ def test_optimize_runs_on_past_a_trial_point_above_the_rounding_bound(monkeypatc
     plain = _plain_lbfgsb(landscape)
     monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", landscape)
     a, model = build_qca(1), HamiltonianModel((1.0,), ())
-    out = optimize(a, model, np.zeros(2), GTOL, restarts=0)
+    out = optimize(a, model, np.zeros(2), restarts=0)
     assert not out.converged and out.message == str(plain.message)
     assert np.array_equal(out.theta, plain.x) and out.energy == plain.fun
     assert out.iterations == plain.nit
-    assert optimize(a, model, np.zeros(2), GTOL).reruns == 3
+    assert optimize(a, model, np.zeros(2)).reruns == 3
 
 
 def test_sweep_zero_units_is_baseline_row():
@@ -175,10 +176,10 @@ def test_sweep_epsilon_non_increasing():
 def test_sweep_warm_start_consistency():
     model = tfim_chain(3, 1.0, 0.4)
     plist = build_priority_list(model, build_qca(3), 3)
-    result = hierarchy_sweep(model, plist, 3, gtol=1e-9)
+    result = hierarchy_sweep(model, plist, 3)
     last = result.rows[-1]
     a = plist.build_ansatz(last.n_params)
-    again = optimize(a, model, np.array(last.theta), gtol=1e-9)
+    again = optimize(a, model, np.array(last.theta))
     assert again.energy == pytest.approx(last.energy, abs=1e-9)
 
 
@@ -283,7 +284,8 @@ def test_first_order_angle_sets_the_budget():
 
 def _record_optimize(monkeypatch):
     """Replace the sweep's optimize by one that records, per call, the unit
-    count, positional and keyword budget arguments and iterations run."""
+    count, the positional and keyword arguments after the start, and the
+    iterations run."""
     calls = []
     run = pertvqe.vqe.optimize
 
@@ -308,7 +310,7 @@ def test_weak_sweep_runs_the_warm_start_alone(monkeypatch):
     for step in _per_step(calls, 7):
         assert len(step) == 1
         (_, args, kwargs, iterations), = step
-        assert args[2] == 0 and "restarts" not in kwargs
+        assert args[0] == 0 and "restarts" not in kwargs
         assert iterations > pertvqe.vqe.STALL_ITERATIONS
     assert all(s.reruns == 0 and s.start == "warm" for s in result.steps)
 
@@ -321,7 +323,7 @@ def test_strong_sweep_keeps_the_full_budget(monkeypatch):
     assert result.budget == "full" and result.first_order_angle == 1.5
     for step in _per_step(calls, 4):
         warm, *randoms = step
-        assert warm[1][2] == 3 and "restarts" not in warm[2]
+        assert warm[1][0] == 3 and "restarts" not in warm[2]
         assert len(randoms) == 2
         assert all(kwargs["restarts"] == 0 for _, _, kwargs, _ in randoms)
     # a warm run that converged did so without a perturbed rerun
@@ -351,7 +353,7 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
     result = hierarchy_sweep(construction, plist, 7, rng=rng)
     assert result.budget == "full" and result.first_order_angle == pytest.approx(0.0375)
     # the perturbative pass runs the warm start alone up to its first stall
-    alone = [c for c in calls if "restarts" not in c[2] and c[1][2] == 0]
+    alone = [c for c in calls if "restarts" not in c[2] and c[1][0] == 0]
     assert calls[:len(alone)] == alone
     stalled = [its <= pertvqe.vqe.STALL_ITERATIONS for *_, its in alone]
     assert stalled == [False] * (len(alone) - 1) + [True]
@@ -364,7 +366,7 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
         "stalled_at": discarded.stalled_at, "evaluations": discarded.evaluations,
         "seconds": discarded.seconds}
     # then every step makes the warm call with reruns and two random starts
-    assert [(n, args[2]) for n, args, kwargs, _ in calls[len(alone):]
+    assert [(n, args[0]) for n, args, kwargs, _ in calls[len(alone):]
             if "restarts" not in kwargs] == [(n, 3) for n in range(1, 8)]
     assert len(calls) == len(alone) + 7 * 3
 
@@ -387,12 +389,13 @@ def test_stall_restart_rewinds_the_generator(monkeypatch):
     perturbative = []
 
     def stall_at_six(ansatz, model, theta0, *args, **kwargs):
-        if args[2:] != (0,):
+        if args != (0,):
             return run(ansatz, model, theta0, *args, **kwargs)
         state = kwargs["rng"].bit_generator.state
-        if ansatz.num_params == 5:
-            args = (args[0], 3, 0)
-        out = run(ansatz, model, theta0, *args, **kwargs)
+        with monkeypatch.context() as patch:
+            if ansatz.num_params == 5:
+                patch.setattr(pertvqe.vqe, "MAX_ITERATIONS", 3)
+            out = run(ansatz, model, theta0, *args, **kwargs)
         perturbative.append((out.converged, kwargs["rng"].bit_generator.state == state))
         if ansatz.num_params == 6:
             out = replace(out, iterations=0)
