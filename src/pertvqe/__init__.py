@@ -9,8 +9,6 @@ from .ansatz import (
     enforce_conjugation,
     enforce_symmetry,
     fix_parameter,
-    gram_matrix,
-    manifold_area,
     remove_parameter,
     respects_conjugation,
 )

@@ -1,5 +1,5 @@
-"""Product-ansatz data model, the layered stabilizer-group constructor,
-symmetry compression, and variational-manifold geometry helpers.
+"""Product-ansatz data model, the layered stabilizer-group constructor and
+symmetry compression.
 
 An ansatz is an ordered list of rotation units exp(i * scale * theta * T)
 with Hermitian Pauli generators T, applied to a computational basis start
@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
 
 from .pauli import PauliString
 
@@ -220,69 +217,4 @@ def enforce_symmetry(ansatz: ProductAnsatz, symmetry: PauliString) -> ProductAns
     return _drop_parameters(ansatz, {
         u.param_index for u in ansatz.units if not u.generator.commutes_with(symmetry)
     })
-
-
-# -- manifold geometry ----------------------------------------------------------
-
-
-def _tangents(ansatz: ProductAnsatz, theta: np.ndarray, step: float) -> np.ndarray:
-    from .simulator import prepare
-
-    psi = prepare(ansatz, theta)
-    tangents = np.empty((ansatz.num_params, psi.size), dtype=complex)
-    for n in range(ansatz.num_params):
-        up = theta.copy()
-        dn = theta.copy()
-        up[n] += step
-        dn[n] -= step
-        tangents[n] = (prepare(ansatz, up) - prepare(ansatz, dn)) / (2 * step)
-    # Project out the global-phase direction i|psi> so the metric lives on rays.
-    phase_dir = 1j * psi
-    for n in range(ansatz.num_params):
-        tangents[n] -= phase_dir * np.real(np.vdot(phase_dir, tangents[n]))
-    return tangents
-
-
-def gram_matrix(
-    ansatz: ProductAnsatz, theta: Sequence[float], step: float = 1e-6
-) -> np.ndarray:
-    """Finite-difference metric J^dag J of the variational map at theta,
-    projected orthogonal to the state's phase direction."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != ansatz.num_params:
-        raise ValueError("parameter vector length mismatch")
-    t = _tangents(ansatz, theta, step)
-    gram = np.real(t.conj() @ t.T)
-    return 0.5 * (gram + gram.T)
-
-
-def manifold_area(
-    ansatz: ProductAnsatz,
-    domain: Sequence[tuple[float, float]],
-    cover_multiplicity: int = 1,
-    points_per_axis: int | Sequence[int] = 32,
-    step: float = 1e-6,
-) -> float:
-    """Gauss-Legendre estimate of integral sqrt(det J^dag J) over the domain,
-    divided by the covering multiplicity supplied by the caller.
-
-    Rank-deficient points contribute zero area (det clipped at 0).
-    """
-    if len(domain) != ansatz.num_params:
-        raise ValueError("domain must give one interval per parameter")
-    if isinstance(points_per_axis, int):
-        points_per_axis = [points_per_axis] * len(domain)
-    axes = []
-    for (lo, hi), n_pts in zip(domain, points_per_axis, strict=True):
-        nodes, weights = np.polynomial.legendre.leggauss(n_pts)
-        axes.append((0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights))
-    total = 0.0
-    for combo in itertools.product(*(range(len(a[0])) for a in axes)):
-        theta = np.array([axes[d][0][i] for d, i in enumerate(combo)])
-        weight = 1.0
-        for d, i in enumerate(combo):
-            weight *= axes[d][1][i]
-        det = float(np.linalg.det(gram_matrix(ansatz, theta, step)))
-        total += weight * np.sqrt(max(det, 0.0))
-    return total / cover_multiplicity
 

@@ -34,6 +34,9 @@ class OptimizationOutcome:
     reruns: int = 0
     attempt: int = 0
     message: str = ""
+    # the energy at the given start, theta0: the objective's first value, so
+    # start_energy - energy is what the optimization gained over its start
+    start_energy: float = math.nan
 
 
 # A run ends at the first evaluated point whose gradient meets gtol unless its
@@ -88,7 +91,7 @@ def optimize(
         raise ValueError("starting parameters must be finite")
     if ansatz.num_params == 0:
         e = energy(basis_state(ansatz.n_qubits, ansatz.start_state), model)
-        return OptimizationOutcome(np.zeros(0), e, 0, True)
+        return OptimizationOutcome(np.zeros(0), e, 0, True, start_energy=e)
     if rng is None:
         rng = np.random.default_rng(0)
     evaluations = 0
@@ -154,7 +157,7 @@ def optimize(
     if e_start < best.energy:
         best = replace(best, theta=theta0, energy=e_start, iterations=total_iters,
                        attempt=0, message="start kept: no run went below it")
-    return replace(best, evaluations=evaluations, reruns=attempt)
+    return replace(best, evaluations=evaluations, reruns=attempt, start_energy=e_start)
 
 
 # A coupling's order-1 angle |J_b| / (E_b - E_0) is 1/4 at the TFIM critical
@@ -167,12 +170,22 @@ def optimize(
 PERTURBATIVE_ANGLE = 0.25
 # Seeded random starts the full budget adds to each step's warm start.
 MULTISTARTS = 2
-# A warm run that ends within this many L-BFGS-B iterations stalled at its
-# start: the new unit's gradient vanishes there, or the line search fails.
-# A run that ends at a trial point (GRADIENT_MET) counts the iteration whose
-# line search evaluated it, as if L-BFGS-B had accepted the point; one that
-# ends at its start counts none, so a start meeting gtol is a stall.
+# A warm run stalled at its start when it ends within this many L-BFGS-B
+# iterations and lowers the energy from its start by no more than
+# ENERGY_ROUNDING·|E|: the new unit's gradient vanishes there, or the line
+# search fails.  A run that ends at a trial point (GRADIENT_MET) counts the
+# iteration whose line search evaluated it, as if L-BFGS-B had accepted the
+# point; one that ends at its start counts none and gains nothing, so a start
+# meeting gtol is a stall.  The energy condition is needed because near
+# ε ≈ 1e-12 a finished step also ends within two iterations, yet still lowers
+# E by hundreds of times the rounding scale.
 STALL_ITERATIONS = 2
+
+
+def _stalled(run: OptimizationOutcome) -> bool:
+    """Whether a warm run stalled at its start (see ``STALL_ITERATIONS``)."""
+    return (run.iterations <= STALL_ITERATIONS
+            and run.start_energy - run.energy <= ENERGY_ROUNDING * abs(run.energy))
 
 
 def first_order_angle(model: HamiltonianModel) -> float:
@@ -259,8 +272,9 @@ def hierarchy_sweep(
     model's ``first_order_angle`` is below ``PERTURBATIVE_ANGLE`` (weaker
     than the TFIM critical coupling), the sweep first tries the warm start
     alone at every step.  If one of those warm runs stalls, ending within
-    ``STALL_ITERATIONS`` iterations, the sweep starts over under the full
-    budget.  The perturbative pass draws nothing from ``rng``, so the
+    ``STALL_ITERATIONS`` iterations with an energy no more than
+    ``ENERGY_ROUNDING``·|E| below its start, the sweep starts over under the
+    full budget.  The perturbative pass draws nothing from ``rng``, so the
     result is the full budget's bit for bit, and ``discarded_pass`` records
     what the thrown-away pass cost.  Either way the warm start guarantees the error
     never increases with the unit count.
@@ -315,7 +329,7 @@ def _grow(
             # benchmarks/tracing.py tells them apart by it, so the warm run
             # passes restarts positionally.
             runs = [optimize(ansatz, model, np.append(theta, 0.0), reruns, rng=rng)]
-            if perturbative and runs[0].iterations <= STALL_ITERATIONS:
+            if perturbative and _stalled(runs[0]):
                 evaluations = sum(s.evaluations for s in steps) + runs[0].evaluations
                 return DiscardedPass(n, evaluations, time.perf_counter() - pass_began)
             best, start = runs[0], "warm"

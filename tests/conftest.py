@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import itertools
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from pertvqe.perturbation import (
     HamiltonianModel,
     perturbative_state,
 )
-from pertvqe.simulator import apply_rotation, basis_state, energy
+from pertvqe.simulator import apply_rotation, basis_state, energy, prepare
 
 DENSE_QUBIT_CAP = 12
 
@@ -287,11 +289,9 @@ def fit_ground_amplitude(model, target_state, monomial_orders, eps=0.015):
     monomials.  Strengths of the model are ignored; the grid explores each
     coupling independently in [-2*eps, 2*eps].
     """
-    from itertools import product
-
     n_c = model.n_couplings
     grid_1d = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * eps
-    points = list(product(grid_1d, repeat=n_c))
+    points = list(itertools.product(grid_1d, repeat=n_c))
     design = np.zeros((len(points), len(monomial_orders)))
     values = np.zeros(len(points), dtype=complex)
     for row, strengths in enumerate(points):
@@ -375,3 +375,66 @@ def dense_angle_oracle(model, generators, scales=np.linspace(0.01, 0.1, 10),
     design = np.stack([lams**d for d in range(1, degree + 1)], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, np.array(thetas), rcond=None)
     return coeffs
+
+
+# -- manifold geometry: criterion 9's instrument ---------------------------------
+
+
+def _tangents(ansatz: ProductAnsatz, theta: np.ndarray, step: float) -> np.ndarray:
+    psi = prepare(ansatz, theta)
+    tangents = np.empty((ansatz.num_params, psi.size), dtype=complex)
+    for n in range(ansatz.num_params):
+        up = theta.copy()
+        dn = theta.copy()
+        up[n] += step
+        dn[n] -= step
+        tangents[n] = (prepare(ansatz, up) - prepare(ansatz, dn)) / (2 * step)
+    # Project out the global-phase direction i|psi> so the metric lives on rays.
+    phase_dir = 1j * psi
+    for n in range(ansatz.num_params):
+        tangents[n] -= phase_dir * np.real(np.vdot(phase_dir, tangents[n]))
+    return tangents
+
+
+def gram_matrix(
+    ansatz: ProductAnsatz, theta: Sequence[float], step: float = 1e-6
+) -> np.ndarray:
+    """Finite-difference metric J^dag J of the variational map at theta,
+    projected orthogonal to the state's phase direction."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.size != ansatz.num_params:
+        raise ValueError("parameter vector length mismatch")
+    t = _tangents(ansatz, theta, step)
+    gram = np.real(t.conj() @ t.T)
+    return 0.5 * (gram + gram.T)
+
+
+def manifold_area(
+    ansatz: ProductAnsatz,
+    domain: Sequence[tuple[float, float]],
+    cover_multiplicity: int = 1,
+    points_per_axis: int | Sequence[int] = 32,
+    step: float = 1e-6,
+) -> float:
+    """Gauss-Legendre estimate of integral sqrt(det J^dag J) over the domain,
+    divided by the covering multiplicity supplied by the caller.
+
+    Rank-deficient points contribute zero area (det clipped at 0).
+    """
+    if len(domain) != ansatz.num_params:
+        raise ValueError("domain must give one interval per parameter")
+    if isinstance(points_per_axis, int):
+        points_per_axis = [points_per_axis] * len(domain)
+    axes = []
+    for (lo, hi), n_pts in zip(domain, points_per_axis, strict=True):
+        nodes, weights = np.polynomial.legendre.leggauss(n_pts)
+        axes.append((0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights))
+    total = 0.0
+    for combo in itertools.product(*(range(len(a[0])) for a in axes)):
+        theta = np.array([axes[d][0][i] for d, i in enumerate(combo)])
+        weight = 1.0
+        for d, i in enumerate(combo):
+            weight *= axes[d][1][i]
+        det = float(np.linalg.det(gram_matrix(ansatz, theta, step)))
+        total += weight * np.sqrt(max(det, 0.0))
+    return total / cover_multiplicity

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca, gram_matrix, manifold_area
+from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
 from pertvqe.hierarchy import (
     ThetaEstimator,
     build_priority_list,
@@ -29,7 +29,7 @@ from pertvqe.perturbation import (
 from pertvqe.simulator import best_fidelity, energy, energy_and_gradient, prepare
 from pertvqe.vqe import hierarchy_sweep
 
-from conftest import two_block_model
+from conftest import gram_matrix, manifold_area, two_block_model
 
 
 def _report(label: str, ok: bool, detail: str):

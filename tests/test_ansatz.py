@@ -8,15 +8,13 @@ from pertvqe.ansatz import (
     enforce_conjugation,
     enforce_symmetry,
     fix_parameter,
-    gram_matrix,
-    manifold_area,
     remove_parameter,
     respects_conjugation,
 )
 from pertvqe.pauli import PauliString
 from pertvqe.simulator import best_fidelity, prepare
 
-from conftest import random_pauli
+from conftest import gram_matrix, manifold_area, random_pauli
 
 
 def yyx_ansatz() -> ProductAnsatz:

@@ -14,8 +14,8 @@ PUBLIC_NAMES = [
     "build_priority_list", "build_qca", "check_matched", "energy",
     "energy_and_gradient", "enforce_conjugation", "enforce_symmetry",
     "enumerate_connected", "enumerate_leading", "exact_ground",
-    "export_dot", "fidelity", "fix_parameter", "gram_matrix", "hierarchy_sweep",
-    "is_disconnected_split", "manifold_area", "optimize",
+    "export_dot", "fidelity", "fix_parameter", "hierarchy_sweep",
+    "is_disconnected_split", "optimize",
     "perturbative_state", "prepare", "qca_slot", "remove_parameter",
     "respects_conjugation", "series_residual", "sweep_thetas_json", "sweep_to_csv", "tfim_chain", "unperturbed_energy",
 ]

@@ -340,12 +340,12 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
     construction = tfim_chain(4, 1.0, 0.15)
     plist = build_priority_list(construction, None, 4, "rev")
     calls = _record_optimize(monkeypatch)
-    evaluations = []
+    outcomes = []
     recorded = pertvqe.vqe.optimize
 
     def counted(*args, **kwargs):
         out = recorded(*args, **kwargs)
-        evaluations.append(out.evaluations)
+        outcomes.append(out)
         return out
 
     monkeypatch.setattr(pertvqe.vqe, "optimize", counted)
@@ -355,12 +355,12 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
     # the perturbative pass runs the warm start alone up to its first stall
     alone = [c for c in calls if "restarts" not in c[2] and c[1][0] == 0]
     assert calls[:len(alone)] == alone
-    stalled = [its <= pertvqe.vqe.STALL_ITERATIONS for *_, its in alone]
+    stalled = [pertvqe.vqe._stalled(out) for out in outcomes[:len(alone)]]
     assert stalled == [False] * (len(alone) - 1) + [True]
     # and the result records what that discarded pass cost
     discarded = result.discarded_pass
     assert discarded.stalled_at == alone[-1][0] == len(alone)
-    assert discarded.evaluations == sum(evaluations[:len(alone)]) > 0
+    assert discarded.evaluations == sum(out.evaluations for out in outcomes[:len(alone)]) > 0
     assert discarded.seconds > 0
     assert json.loads(sweep_thetas_json(result))["discarded_pass"] == {
         "stalled_at": discarded.stalled_at, "evaluations": discarded.evaluations,
@@ -384,7 +384,8 @@ def test_stall_restart_rewinds_the_generator(monkeypatch):
     # the warm run at unit 5, cut to 3 iterations, ends unconverged; a
     # perturbative warm run has no rerun to draw a perturbation for, so the
     # perturbative pass leaves the generator as it found it, and a stall
-    # forced at unit 6 starts the full budget from that same state
+    # forced at unit 6 (a run that ends at its start) starts the full budget
+    # from that same state
     run = pertvqe.vqe.optimize
     perturbative = []
 
@@ -398,7 +399,8 @@ def test_stall_restart_rewinds_the_generator(monkeypatch):
             out = run(ansatz, model, theta0, *args, **kwargs)
         perturbative.append((out.converged, kwargs["rng"].bit_generator.state == state))
         if ansatz.num_params == 6:
-            out = replace(out, iterations=0)
+            out = replace(out, theta=np.asarray(theta0), energy=out.start_energy,
+                          iterations=0)
         return out
 
     monkeypatch.setattr(pertvqe.vqe, "optimize", stall_at_six)
@@ -414,3 +416,51 @@ def test_stall_restart_rewinds_the_generator(monkeypatch):
     assert all(untouched for _, untouched in perturbative)
     assert [r.theta for r in result.rows] == [r.theta for r in forced.rows]
     assert rng.bit_generator.state == forced_rng.bit_generator.state
+
+
+def test_a_run_that_ends_at_its_start_is_a_stall():
+    # on a pure field Hamiltonian the start is the minimum: the run ends
+    # there after no iteration and gains nothing over its start
+    model = HamiltonianModel((1.0, 1.0), ())
+    a = ProductAnsatz(2, (AnsatzUnit(PauliString.from_label("YI"), 0),), 0, 1)
+    out = optimize(a, model, np.zeros(1), 0)
+    assert out.iterations == 0 and out.energy == out.start_energy == -2.0
+    assert pertvqe.vqe._stalled(out)
+    # a run as short that still lowers E by more than the rounding is none
+    gain = 2 * pertvqe.vqe.ENERGY_ROUNDING * abs(out.energy)
+    assert not pertvqe.vqe._stalled(replace(out, energy=out.energy - gain, iterations=2))
+    assert pertvqe.vqe._stalled(replace(out, energy=out.energy - gain / 4, iterations=2))
+    assert not pertvqe.vqe._stalled(replace(out, iterations=3))
+
+
+# An n = 8 XX chain with drawn fields h and couplings J in 0.15·[0.9, 1.1],
+# on which the warm run at unit 30 ends after 2 iterations 1e-6 away from
+# its start, yet lowers E by about 300 times ENERGY_ROUNDING: a finished step,
+# not a stall.
+FINISHED_FIELDS = (
+    0.96964000165711, 1.0006579900798107, 1.022082652675222, 1.0023237031383998,
+    1.0928963243281968, 1.092451909772258, 1.0983732802639603, 1.0121983841178213,
+)
+FINISHED_COUPLINGS = (
+    0.1580284723643155, 0.15767251747165562, 0.15404201971151663,
+    0.13870057063672042, 0.15834866102535086, 0.13701835562129996,
+    0.13761616960971373,
+)
+
+
+def test_a_finished_weak_sweep_is_not_thrown_away(monkeypatch):
+    n = len(FINISHED_FIELDS)
+    model = HamiltonianModel(FINISHED_FIELDS, tuple(
+        Coupling(j, PauliString.from_ops(n, {b: "X", b + 1: "X"}))
+        for b, j in enumerate(FINISHED_COUPLINGS)))
+    plist = build_priority_list(model, None, 5, "pert", "parent")
+    result = hierarchy_sweep(model, plist, 30)
+    assert result.budget == "perturbative" and result.discarded_pass is None
+    assert result.steps[-1].iterations <= pertvqe.vqe.STALL_ITERATIONS
+    monkeypatch.setattr(pertvqe.vqe, "PERTURBATIVE_ANGLE", 0.0)
+    forced = hierarchy_sweep(model, plist, 30)
+    assert forced.budget == "full"
+    # both end at the float64 floor of the energy sum: ε ≈ 4.6e-13, the last
+    # energies 4 ulps apart, within twice the rounding scale
+    last, full = result.rows[-1].energy, forced.rows[-1].energy
+    assert abs(last - full) <= 2 * pertvqe.vqe.ENERGY_ROUNDING * abs(full)
