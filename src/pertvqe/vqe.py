@@ -28,8 +28,8 @@ class OptimizationOutcome:
     energy: float
     iterations: int
     converged: bool
-    # objective evaluations and perturbed reruns spent, which run gave the
-    # kept result (0: the given start, r: rerun r) and its stop message
+    # objective evaluations and reruns spent, which run gave the kept result
+    # (0: the given start, r: rerun r) and its stop message
     evaluations: int = 0
     reruns: int = 0
     attempt: int = 0
@@ -49,8 +49,9 @@ ENERGY_ROUNDING = 4 * np.finfo(float).eps
 GRADIENT_MET = "CONVERGENCE: MAX |GRADIENT| <= GTOL AT AN EVALUATED POINT"
 # The optimizer budget: the gradient tolerance and the L-BFGS-B iterations per
 # run, fixed because ENERGY_ROUNDING and the sweep's stop rules below were
-# measured at these values, and the default number of perturbed reruns after
-# a run that ends above tolerance.
+# measured at these values, and the default number of reruns, each from the
+# best point so far with fresh L-BFGS-B memory, after a run that ends above
+# tolerance.
 GTOL = 1e-9
 MAX_ITERATIONS = 2000
 RESTARTS = 3
@@ -66,7 +67,6 @@ def optimize(
     model: HamiltonianModel,
     theta0: Sequence[float],
     restarts: int = RESTARTS,
-    rng: np.random.Generator | None = None,
 ) -> OptimizationOutcome:
     """Quasi-Newton minimization of the variational energy with analytic
     gradients.
@@ -78,11 +78,15 @@ def optimize(
     its line search accepts.  Such a run is converged, and its iterations
     count the one whose line search evaluated the point (none for the
     start).  If a run ends with the gradient above tolerance, up to
-    ``restarts`` perturbed re-runs (magnitude 0.1, drawn only when a re-run
-    follows) keep the best result.  The start itself is kept when no run
-    goes below it; its energy is the objective's first value, since
-    L-BFGS-B evaluates theta0 first.  ``evaluations`` counts computed
-    energies only: a point evaluated again is served from a memo.
+    ``restarts`` reruns follow, each a new L-BFGS-B run (fresh curvature
+    memory) from the best point so far, and the best result is kept.  The
+    reruns stop at the first one that ends no lower than that point: the
+    optimizer is deterministic and the memo serves every point it has seen,
+    so another run from there would repeat it.  Nothing here is random.
+    The start itself is kept when no run goes below it; its energy is the
+    objective's first value, since L-BFGS-B evaluates theta0 first.
+    ``evaluations`` counts computed energies only: a point evaluated again
+    is served from a memo.
     """
     from scipy.optimize import minimize
 
@@ -92,8 +96,6 @@ def optimize(
     if ansatz.num_params == 0:
         e = energy(basis_state(ansatz.n_qubits, ansatz.start_state), model)
         return OptimizationOutcome(np.zeros(0), e, 0, True, start_energy=e)
-    if rng is None:
-        rng = np.random.default_rng(0)
     evaluations = 0
     e_start = None
     seen = {}  # theta.tobytes() -> (energy, gradient); L-BFGS-B revisits points
@@ -126,8 +128,6 @@ def optimize(
     start = theta0
     total_iters = 0
     for attempt in range(restarts + 1):
-        if attempt:
-            start = best.theta + 0.1 * rng.standard_normal(best.theta.size)
         iterations = 0
         lowest = math.inf  # this run's lowest energy
         try:
@@ -149,10 +149,12 @@ def optimize(
         total_iters += iterations
         cand = OptimizationOutcome(theta, value, total_iters, converged,
                                    attempt=attempt, message=message)
-        if best is None or cand.energy < best.energy:
-            best = cand
+        if best is not None and cand.energy >= best.energy:
+            break  # a rerun from best.theta would repeat this one
+        best = cand
         if best.converged:
             break
+        start = best.theta
     # Never report worse than the warm start itself.
     if e_start < best.energy:
         best = replace(best, theta=theta0, energy=e_start, iterations=total_iters,
@@ -218,8 +220,8 @@ class SweepStep:
     """How one sweep step reached its energy.  ``evaluations`` (objective
     calls) and ``reruns`` sum over the warm start and the random starts;
     the rest describe the kept result, whose ``iterations`` the CSV also
-    reports.  ``start`` is "warm", "rerun r" (the warm start's r-th
-    perturbed rerun) or "random i"."""
+    reports.  ``start`` is "warm", "rerun r" (the warm start's r-th rerun
+    from its best point) or "random i"."""
 
     n_params: int
     evaluations: int
@@ -266,18 +268,19 @@ def hierarchy_sweep(
     optimization from the previous optimum with the new parameter at zero.
 
     The full budget runs, at each step, the warm start with up to
-    ``RESTARTS`` perturbed reruns plus ``MULTISTARTS`` seeded random starts (uniform
-    within a half rotation period) and keeps the best: once couplings are
-    strong the warm start alone can lock onto a secondary branch.  When the
-    model's ``first_order_angle`` is below ``PERTURBATIVE_ANGLE`` (weaker
-    than the TFIM critical coupling), the sweep first tries the warm start
-    alone at every step.  If one of those warm runs stalls, ending within
-    ``STALL_ITERATIONS`` iterations with an energy no more than
-    ``ENERGY_ROUNDING``·|E| below its start, the sweep starts over under the
-    full budget.  The perturbative pass draws nothing from ``rng``, so the
+    ``RESTARTS`` reruns from its best point plus ``MULTISTARTS`` seeded
+    random starts (uniform within a half rotation period) and keeps the
+    best: once couplings are strong the warm start alone can lock onto a
+    secondary branch.  The random starts are all that ``rng`` draws.  When
+    the model's ``first_order_angle`` is below ``PERTURBATIVE_ANGLE``
+    (weaker than the TFIM critical coupling), the sweep first tries the
+    warm start alone at every step.  If one of those warm runs stalls,
+    ending within ``STALL_ITERATIONS`` iterations with an energy no more
+    than ``ENERGY_ROUNDING``·|E| below its start, the sweep starts over
+    under the full budget.  The perturbative pass draws nothing from ``rng``, so the
     result is the full budget's bit for bit, and ``discarded_pass`` records
-    what the thrown-away pass cost.  Either way the warm start guarantees the error
-    never increases with the unit count.
+    what the thrown-away pass cost.  Either way the warm start guarantees
+    the error never increases with the unit count.
 
     Row 0 is the bare start state; the relative error is measured against
     the Lanczos ground energy of ``exact_ground``.  Optimizer failures abort
@@ -328,15 +331,14 @@ def _grow(
             # Random starts are the only calls passing restarts=0 by keyword:
             # benchmarks/tracing.py tells them apart by it, so the warm run
             # passes restarts positionally.
-            runs = [optimize(ansatz, model, np.append(theta, 0.0), reruns, rng=rng)]
+            runs = [optimize(ansatz, model, np.append(theta, 0.0), reruns)]
             if perturbative and _stalled(runs[0]):
                 evaluations = sum(s.evaluations for s in steps) + runs[0].evaluations
                 return DiscardedPass(n, evaluations, time.perf_counter() - pass_began)
             best, start = runs[0], "warm"
             for i in range(0 if perturbative else MULTISTARTS):
                 runs.append(optimize(
-                    ansatz, model, rng.uniform(-np.pi / 2, np.pi / 2, n),
-                    restarts=0, rng=rng,
+                    ansatz, model, rng.uniform(-np.pi / 2, np.pi / 2, n), restarts=0,
                 ))
                 if runs[-1].energy < best.energy:
                     best, start = runs[-1], f"random {i}"

@@ -139,7 +139,9 @@ def test_optimize_ends_at_a_trial_point_one_ulp_above_the_lowest(monkeypatch):
 
 def test_optimize_runs_on_past_a_trial_point_above_the_rounding_bound(monkeypatch):
     # the same landscape with the point meeting gtol 2 bounds above the
-    # floor: the run goes on as plain L-BFGS-B does, and reruns follow
+    # floor: the run goes on as plain L-BFGS-B does, and a rerun follows
+    # from its end; that rerun gains nothing, so no further rerun follows
+    # and the first run's result is kept
     landscape = _flat_floor(2 * pertvqe.vqe.ENERGY_ROUNDING * abs(FLOOR))
     plain = _plain_lbfgsb(landscape)
     monkeypatch.setattr(pertvqe.vqe, "energy_and_gradient", landscape)
@@ -148,7 +150,58 @@ def test_optimize_runs_on_past_a_trial_point_above_the_rounding_bound(monkeypatc
     assert not out.converged and out.message == str(plain.message)
     assert np.array_equal(out.theta, plain.x) and out.energy == plain.fun
     assert out.iterations == plain.nit
-    assert optimize(a, model, np.zeros(2)).reruns == 3
+    rerun = optimize(a, model, np.zeros(2))
+    assert (rerun.reruns, rerun.attempt) == (1, 0)
+    assert np.array_equal(rerun.theta, plain.x) and rerun.energy == plain.fun
+
+
+def _unconverged_minimize(monkeypatch, rise=None):
+    """Replace scipy's minimize by one that evaluates its start and ends
+    unconverged away from it, 1 below the previous call's end, or, on the
+    second call when ``rise`` is given, ``rise`` above the first call's end;
+    returns the (x0, result) of every call."""
+    import scipy.optimize
+
+    calls = []
+
+    def unconverged(fun, x0, **kwargs):
+        value, grad = fun(x0)
+        x0 = np.array(x0)
+        if len(calls) == 1 and rise is not None:
+            end = calls[0][1].fun + rise
+        else:
+            end = (calls[-1][1].fun if calls else value) - 1.0
+        res = scipy.optimize.OptimizeResult(
+            x=0.9 * x0 + 0.0123, fun=end, jac=np.ones_like(grad), nit=1,
+            message="ended above gtol")
+        calls.append((x0, res))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", unconverged)
+    return calls
+
+
+def test_optimize_reruns_from_the_best_point_itself(monkeypatch):
+    # each rerun starts at the previous run's end bit for bit: nothing is
+    # drawn to move it
+    calls = _unconverged_minimize(monkeypatch)
+    model = tfim_chain(3, 1.0, 0.4)
+    a = build_qca(3)
+    out = optimize(a, model, np.linspace(-0.5, 0.5, a.num_params), 3)
+    assert len(calls) == 4 and (out.reruns, out.attempt) == (3, 3)
+    for (_, before), (x0, _) in zip(calls, calls[1:]):
+        assert x0.tobytes() == before.x.tobytes()
+    assert np.array_equal(out.theta, calls[-1][1].x) and out.energy == calls[-1][1].fun
+
+
+@pytest.mark.parametrize("rise", [0.0, 0.5])
+def test_no_rerun_follows_a_rerun_that_ended_no_lower(monkeypatch, rise):
+    calls = _unconverged_minimize(monkeypatch, rise)
+    model = tfim_chain(3, 1.0, 0.4)
+    a = build_qca(3)
+    out = optimize(a, model, np.linspace(-0.5, 0.5, a.num_params), 3)
+    assert len(calls) == 2 and (out.reruns, out.attempt) == (1, 0)
+    assert np.array_equal(out.theta, calls[0][1].x) and out.energy == calls[0][1].fun
 
 
 def test_sweep_zero_units_is_baseline_row():
@@ -326,11 +379,26 @@ def test_strong_sweep_keeps_the_full_budget(monkeypatch):
         assert warm[1][0] == 3 and "restarts" not in warm[2]
         assert len(randoms) == 2
         assert all(kwargs["restarts"] == 0 for _, _, kwargs, _ in randoms)
-    # a warm run that converged did so without a perturbed rerun
+    # a warm run that converged did so without a rerun
     for step in result.steps:
         if (step.start == "warm" and step.converged
                 and not step.message.startswith("start kept")):
             assert step.reruns == 0
+
+
+def test_full_budget_sweep_draws_only_the_random_starts():
+    # warm runs rerun here (steps 5-7), yet the generator ends where drawing
+    # the MULTISTARTS random starts of every step alone leaves it
+    construction = tfim_chain(4, 1.0, 0.15)
+    plist = build_priority_list(construction, None, 4, "pert", "parent")
+    rng = np.random.default_rng(5)
+    result = hierarchy_sweep(tfim_chain(4, 1.0, 3.0), plist, 7, rng=rng)
+    assert result.budget == "full" and sum(s.reruns for s in result.steps) > 0
+    drawn = np.random.default_rng(5)
+    for n in range(1, 8):
+        for _ in range(pertvqe.vqe.MULTISTARTS):
+            drawn.uniform(-np.pi / 2, np.pi / 2, n)
+    assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
@@ -381,23 +449,22 @@ def test_stalled_weak_sweep_starts_over_under_the_full_budget(monkeypatch):
 
 
 def test_stall_restart_rewinds_the_generator(monkeypatch):
-    # the warm run at unit 5, cut to 3 iterations, ends unconverged; a
-    # perturbative warm run has no rerun to draw a perturbation for, so the
-    # perturbative pass leaves the generator as it found it, and a stall
-    # forced at unit 6 (a run that ends at its start) starts the full budget
-    # from that same state
+    # the warm run at unit 5, cut to 3 iterations, ends unconverged; a warm
+    # run draws nothing, so the perturbative pass leaves the generator as it
+    # found it, and a stall forced at unit 6 (a run that ends at its start)
+    # starts the full budget from that same state
     run = pertvqe.vqe.optimize
     perturbative = []
 
     def stall_at_six(ansatz, model, theta0, *args, **kwargs):
         if args != (0,):
             return run(ansatz, model, theta0, *args, **kwargs)
-        state = kwargs["rng"].bit_generator.state
+        state = rng.bit_generator.state
         with monkeypatch.context() as patch:
             if ansatz.num_params == 5:
                 patch.setattr(pertvqe.vqe, "MAX_ITERATIONS", 3)
             out = run(ansatz, model, theta0, *args, **kwargs)
-        perturbative.append((out.converged, kwargs["rng"].bit_generator.state == state))
+        perturbative.append((out.converged, rng.bit_generator.state == state))
         if ansatz.num_params == 6:
             out = replace(out, theta=np.asarray(theta0), energy=out.start_energy,
                           iterations=0)
