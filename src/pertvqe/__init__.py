@@ -45,7 +45,6 @@ from .perturbation import (
     tfim_chain,
 )
 from .simulator import (
-    apply_rotation,
     basis_state,
     energy,
     energy_and_gradient,

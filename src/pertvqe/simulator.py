@@ -4,18 +4,20 @@ analytic gradients.
 States are 1-D arrays of length 2**n with qubit q on bit q of the amplitude
 index.  Every Pauli string acts through its one compiled action,
 ``i^power op|psi> = op.factor(power) * psi[op.action.perm]``, and H through
-the model's one Hamiltonian apply (``HamiltonianModel.apply``).  Rotations
-apply exp(i * scale * theta * T) exactly as cos(a)|psi> + i sin(a) T|psi>;
-no dense operator is ever materialized.
+the model's one Hamiltonian apply (``HamiltonianModel.apply``).  A unit
+exp(a R), R = i * T, a = scale * theta, applies exactly as
+cos(a)|psi> + sin(a) R|psi> in one forward loop (``_rotate``); no dense
+operator is ever materialized.
 
-States are complex (``complex128``) except inside ``energy_and_gradient``
-when a diagonal phase gauge omega makes H and every i*T real
-(``_phase_gauge``): then its one adjoint pass runs on ``float64`` states.
-This module alone knows the gauge: it conjugates the compiled rows of the
-pass by omega (``_compile``).  Every generator with an odd Y count and
-every coupling with an even one need no gauge; the XY chain needs one.
-The pass is compiled once per (ansatz, model) pair.  ``PauliString.apply``
-and ``energy`` keep a real state real when the operator they apply is real.
+``prepare`` runs that loop on ``complex128`` states and each unit's rows
+``(perm, factor(1))``.  ``energy_and_gradient`` runs it on the rows of its
+compiled pass, on ``float64`` states when a diagonal phase gauge omega makes
+H and every i*T real (``_phase_gauge``).  This module alone knows the gauge:
+it conjugates the compiled rows of the pass by omega (``_compile``).  Every
+generator with an odd Y count and every coupling with an even one need no
+gauge; the XY chain needs one.  The pass is compiled once per (ansatz,
+model) pair.  ``PauliString.apply`` and ``energy`` keep a real state real
+when the operator they apply is real.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import ProductAnsatz
-from .pauli import PauliString
 from .perturbation import HamiltonianModel
 
 QUBIT_CAP = 14
@@ -40,24 +41,39 @@ def basis_state(n_qubits: int, bits: int) -> np.ndarray:
     return psi
 
 
-def apply_rotation(
-    psi: np.ndarray, generator: PauliString, theta: float, scale: float = 1.0
-) -> np.ndarray:
-    """exp(i * scale * theta * generator) |psi>."""
-    angle = scale * theta
-    return np.cos(angle) * psi + 1j * np.sin(angle) * generator.apply(psi)
-
-
 def prepare(ansatz: ProductAnsatz, thetas) -> np.ndarray:
+    """The ansatz state at ``thetas``: the forward loop of
+    ``energy_and_gradient`` on complex128 states and ungauged rows."""
+    cos, sin = _cos_sin(ansatz, thetas)
+    for psi in _rotate(basis_state(ansatz.n_qubits, ansatz.start_state),
+                       _rows(ansatz), cos, sin):
+        pass
+    return psi
+
+
+def _cos_sin(ansatz: ProductAnsatz, thetas) -> tuple[list[float], list[float]]:
+    """cos and sin of each unit's angle scale * theta, once theta's length
+    is checked."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size != ansatz.num_params:
         raise ValueError(
             f"expected {ansatz.num_params} parameters, got {thetas.size}"
         )
-    psi = basis_state(ansatz.n_qubits, ansatz.start_state)
-    for unit in ansatz.units:
-        psi = apply_rotation(psi, unit.generator, thetas[unit.param_index], unit.scale)
-    return psi
+    angles = np.array([u.scale * thetas[u.param_index] for u in ansatz.units])
+    return np.cos(angles).tolist(), np.sin(angles).tolist()
+
+
+def _rows(ansatz: ProductAnsatz) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each unit's R = i * T as ``(perm, factor(1))``, without a gauge."""
+    return [(u.generator.action.perm, u.generator.factor(1)) for u in ansatz.units]
+
+
+def _rotate(psi: np.ndarray, rotations, cos, sin):
+    """psi, then the state after each unit: psi <- c psi + s (factor psi[perm])."""
+    yield psi
+    for (perm, factor), c, s in zip(rotations, cos, sin):
+        psi = c * psi + s * (factor * psi[perm])
+        yield psi
 
 
 def energy(psi: np.ndarray, model: HamiltonianModel) -> float:
@@ -79,20 +95,13 @@ def energy_and_gradient(
     the un-rotation of lam.  States are float64 when a phase gauge makes R
     and H real.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.size != ansatz.num_params:
-        raise ValueError("parameter vector length mismatch")
+    cos, sin = _cos_sin(ansatz, thetas)
     if model.n_qubits != ansatz.n_qubits:
         raise ValueError("ansatz and model qubit counts differ")
     circuit = _compiled(ansatz, model)
     units = ansatz.units
-    angles = np.array([u.scale * thetas[u.param_index] for u in units])
-    cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
-    psi = circuit.start
-    states = [psi]
-    for (perm, factor), c, s in zip(circuit.rotations, cos, sin):
-        psi = c * psi + s * (factor * psi[perm])
-        states.append(psi)
+    states = list(_rotate(circuit.start, circuit.rotations, cos, sin))
+    psi = states[-1]
     # H psi as HamiltonianModel.apply computes it, in the circuit's gauge
     lam = (circuit.h_factors * psi[circuit.h_perms]).sum(axis=0)
     value = float(np.vdot(psi, lam).real)
@@ -152,7 +161,7 @@ def _compile(ansatz: ProductAnsatz, model: HamiltonianModel) -> _Circuit:
     which drops out of E and its gradient.  With c = 0 each unit keeps its
     string's own factor and H the model's cached rows."""
     c = _phase_gauge(ansatz, model) or 0
-    rotations = [(u.generator.action.perm, u.generator.factor(1)) for u in ansatz.units]
+    rotations = _rows(ansatz)
     h_perms, h_factors = model.gather
     if c:
         b = np.arange(1 << ansatz.n_qubits)

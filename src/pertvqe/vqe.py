@@ -19,7 +19,7 @@ from .ansatz import ProductAnsatz
 from .hierarchy import PriorityList
 from .pauli import unperturbed_energy
 from .perturbation import HamiltonianModel, exact_ground
-from .simulator import basis_state, energy, energy_and_gradient
+from .simulator import basis_state, energy, energy_and_gradient, prepare
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def optimize(
     if not np.all(np.isfinite(theta0)):
         raise ValueError("starting parameters must be finite")
     if ansatz.num_params == 0:
-        e = energy(basis_state(ansatz.n_qubits, ansatz.start_state), model)
+        e = energy(prepare(ansatz, theta0), model)
         return OptimizationOutcome(np.zeros(0), e, 0, True, start_energy=e)
     evaluations = 0
     e_start = None

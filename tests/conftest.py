@@ -16,7 +16,7 @@ from pertvqe.perturbation import (
     HamiltonianModel,
     perturbative_state,
 )
-from pertvqe.simulator import apply_rotation, basis_state, energy, prepare
+from pertvqe.simulator import energy, prepare
 
 DENSE_QUBIT_CAP = 12
 
@@ -124,6 +124,36 @@ def coefficient_table(ops) -> CoefficientTable:
                                              tuple(Coupling(1.0, op) for op in ops)))
 
 
+# X^x Z^z on one qubit, Z acting first
+_FACTORS = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
+    (0, 1): np.diag([1, -1]).astype(complex),
+    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),
+}
+
+
+def kron_matrix(op: PauliString) -> np.ndarray:
+    """i^p prod_q X_q^x Z_q^z from Kronecker products, qubit q on bit q."""
+    m = np.ones((1, 1), dtype=complex)
+    for q in range(op.n_qubits):
+        m = np.kron(_FACTORS[(op.x_mask >> q) & 1, (op.z_mask >> q) & 1], m)
+    return (1j**op.phase_exp) * m
+
+
+def dense_prepare(ansatz: ProductAnsatz, thetas) -> np.ndarray:
+    """Independent oracle for ``prepare``: each unit applied as
+    cos(a)|psi> + i sin(a) K|psi>, a = scale * theta, with K the generator's
+    Kronecker-product matrix."""
+    psi = np.zeros(1 << ansatz.n_qubits, dtype=complex)
+    psi[ansatz.start_state] = 1.0
+    for unit in ansatz.units:
+        angle = unit.scale * thetas[unit.param_index]
+        k_psi = kron_matrix(unit.generator) @ psi
+        psi = np.cos(angle) * psi + 1j * np.sin(angle) * k_psi
+    return psi
+
+
 def shift_rule_gradient(
     ansatz: ProductAnsatz, thetas, model: HamiltonianModel
 ) -> np.ndarray:
@@ -148,11 +178,14 @@ def shift_rule_gradient(
 
 
 def _energy_with_unit_shift(ansatz, thetas, model, pos, shift) -> float:
-    psi = basis_state(ansatz.n_qubits, ansatz.start_state)
-    for i, unit in enumerate(ansatz.units):
-        angle = thetas[unit.param_index] + (shift if i == pos else 0.0)
-        psi = apply_rotation(psi, unit.generator, angle, unit.scale)
-    return energy(psi, model)
+    """E with unit ``pos`` alone shifted: the unit gets a parameter of its
+    own, set to its shared parameter plus ``shift``."""
+    units = list(ansatz.units)
+    units[pos] = replace(units[pos], param_index=ansatz.num_params)
+    own = ProductAnsatz(ansatz.n_qubits, tuple(units), ansatz.start_state,
+                        ansatz.num_params + 1)
+    shifted = np.append(thetas, thetas[ansatz.units[pos].param_index] + shift)
+    return energy(prepare(own, shifted), model)
 
 
 def remove_one_at_a_time(ansatz: ProductAnsatz, dropped) -> ProductAnsatz:

@@ -1,8 +1,9 @@
 """Property tests of the compiled Pauli action and the stacked Hamiltonian
-apply, of multi-index arithmetic against the validating constructor, of the
-real and complex paths of the adjoint gradient (and of the phase-gauge rule
-that picks between them, and the gauged rows it compiles) against
-independent dense oracles, of the signs the coefficient recursion uses
+apply, of ``prepare`` against a dense forward oracle, of multi-index
+arithmetic against the validating constructor, of the real and complex
+paths of the adjoint gradient (and of the phase-gauge rule that picks
+between them, and the gauged rows it compiles) against independent dense
+oracles, of the signs the coefficient recursion uses
 and its memoized coupling powers against dense products of the couplings'
 matrices, of the leading-diagram key against the dense ``state_and_phase``
 and ``build_diagram``, of parameter removal and fixing on layered ansatzes, and
@@ -35,6 +36,8 @@ from pertvqe.simulator import energy, energy_and_gradient, prepare
 
 from conftest import (
     coefficient_table,
+    dense_prepare,
+    kron_matrix,
     power_matrix,
     remove_one_at_a_time,
     shift_rule_gradient,
@@ -43,23 +46,6 @@ from conftest import (
 )
 
 PROPERTY = settings(deadline=None, max_examples=40)
-
-# X^x Z^z on one qubit, Z acting first
-_FACTORS = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.diag([1, -1]).astype(complex),
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),
-}
-
-
-def kron_matrix(op: PauliString) -> np.ndarray:
-    """i^p prod_q X_q^x Z_q^z from Kronecker products, qubit q on bit q."""
-    m = np.ones((1, 1), dtype=complex)
-    for q in range(op.n_qubits):
-        m = np.kron(_FACTORS[(op.x_mask >> q) & 1, (op.z_mask >> q) & 1], m)
-    return (1j**op.phase_exp) * m
-
 
 def scatter_apply(psi: np.ndarray, op: PauliString) -> np.ndarray:
     """The scatter formula the compiled action replaced: out[i ^ x] = s_i psi_i."""
@@ -138,7 +124,7 @@ def energy_gradient_and_path(ansatz, theta, model):
 
 
 def assert_matches_oracles(ansatz, theta, model, value, grad):
-    assert abs(value - energy(prepare(ansatz, theta), model)) <= 1e-12
+    assert abs(value - energy(dense_prepare(ansatz, theta), model)) <= 1e-12
     assert np.max(np.abs(grad - shift_rule_gradient(ansatz, theta, model))) <= 1e-12
 
 
@@ -375,6 +361,36 @@ def test_factor_is_the_rows_of_i_power_times_the_matrix():
             assert np.array_equal(got, expected)
             assert (got.dtype == np.float64) == (
                 psi.dtype == np.float64 and op.phase_exp % 2 == 1)
+
+
+# -- forward pass -------------------------------------------------------------
+
+
+@st.composite
+def prepare_cases(draw):
+    """An ansatz on 1-5 qubits of odd- and even-Y generators with shared
+    parameters and non-unit scales, any start state, and a parameter
+    vector."""
+    n = draw(st.integers(1, 5))
+    n_params = draw(st.integers(1, 4))
+    scales = st.sampled_from([1.0, -1.0, 0.5, -0.75, 1.5, 2.0])
+    units = tuple(
+        AnsatzUnit(draw(labels(n, odd_y=draw(st.booleans()))),
+                   draw(st.integers(0, n_params - 1)), draw(scales))
+        for _ in range(draw(st.integers(0, 8)))
+    )
+    ansatz = ProductAnsatz(n, units, draw(st.integers(0, (1 << n) - 1)), n_params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ansatz, rng.uniform(-np.pi, np.pi, n_params)
+
+
+@PROPERTY
+@given(prepare_cases())
+def test_prepare_matches_the_dense_oracle(case):
+    ansatz, theta = case
+    psi = prepare(ansatz, theta)
+    assert psi.dtype == np.complex128
+    assert np.max(np.abs(psi - dense_prepare(ansatz, theta))) <= 1e-12
 
 
 # -- real and complex adjoint paths -------------------------------------------

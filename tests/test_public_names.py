@@ -10,7 +10,7 @@ PUBLIC_NAMES = [
     "DiscardedPass", "GeneratorSlot", "HamiltonianModel", "LevelSpec", "MultiIndex",
     "OptimizationOutcome", "PauliString", "PriorityList", "ProductAnsatz",
     "StabilizerAnsatzSpec", "SweepResult", "SweepRow", "SweepStep", "ThetaEstimate",
-    "ThetaEstimator", "apply_rotation", "basis_state", "build_diagram",
+    "ThetaEstimator", "basis_state", "build_diagram",
     "build_priority_list", "build_qca", "check_matched", "energy",
     "energy_and_gradient", "enforce_conjugation", "enforce_symmetry",
     "enumerate_connected", "enumerate_leading", "exact_ground",

@@ -12,7 +12,6 @@ from pertvqe.perturbation import (
     tfim_chain,
 )
 from pertvqe.simulator import (
-    apply_rotation,
     basis_state,
     best_fidelity,
     energy,
@@ -20,49 +19,39 @@ from pertvqe.simulator import (
     fidelity,
     prepare,
 )
+from pertvqe.vqe import optimize
 
 from conftest import dense_hamiltonian, random_model, random_pauli, shift_rule_gradient
 
 
-def test_rotation_zero_angle_is_identity(rng):
-    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
-    out = apply_rotation(psi, PauliString.from_label("XYZ"), 0.0)
-    assert np.allclose(out, psi)
-
-
-def test_rotation_half_period(rng):
-    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
+def test_rotation_half_period():
     p = PauliString.from_label("ZXI")
-    out = apply_rotation(psi, p, np.pi / 2)
-    assert np.allclose(out, 1j * p.apply(psi))
+    a = ProductAnsatz(3, (AnsatzUnit(p, 0),), start_state=0b101, num_params=1)
+    assert np.allclose(prepare(a, [np.pi / 2]), 1j * p.apply(basis_state(3, 0b101)),
+                       rtol=0, atol=1e-15)
 
 
-def test_rotation_matches_matrix_exponential(rng):
-    units = [
-        (PauliString.from_label("YI"), 0.37),
-        (PauliString.from_label("IY"), -0.81),
-        (PauliString.from_label("YX"), 1.21),
-    ]
-    psi = basis_state(2, 0)
+def test_rotation_matches_matrix_exponential():
+    units = (
+        AnsatzUnit(PauliString.from_label("YI"), 0, 0.5),
+        AnsatzUnit(PauliString.from_label("IY"), 1, -1.5),
+        AnsatzUnit(PauliString.from_label("YX"), 0, 2.0),
+        AnsatzUnit(PauliString.from_label("XZ"), 1),
+    )
+    theta = np.array([0.37, -0.81])
     ref = np.array([1, 0, 0, 0], dtype=complex)
-    for p, theta in units:
-        psi = apply_rotation(psi, p, theta)
-        ref = expm(1j * theta * p.to_matrix()) @ ref
-    assert np.allclose(psi, ref, atol=1e-12)
+    for u in units:
+        ref = expm(1j * u.scale * theta[u.param_index] * u.generator.to_matrix()) @ ref
+    psi = prepare(ProductAnsatz(2, units, 0, 2), theta)
+    assert np.allclose(psi, ref, rtol=0, atol=1e-12)
 
 
 def test_rotation_norm_preservation(rng):
-    psi = basis_state(5, 0)
-    for _ in range(50):
-        psi = apply_rotation(psi, random_pauli(rng, 5), float(rng.uniform(-3, 3)))
+    units = tuple(AnsatzUnit(random_pauli(rng, 5), i) for i in range(50))
+    theta = rng.uniform(-3, 3, 50)
+    for k in range(1, 51):
+        psi = prepare(ProductAnsatz(5, units[:k], 0, 50), theta)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rotation_on_wrong_size_state_raises():
-    with pytest.raises(ValueError, match="dimension"):
-        apply_rotation(basis_state(2, 0), PauliString.from_label("XYZ"), 0.3)
 
 
 def test_prepare_zero_angles_gives_start():
@@ -74,9 +63,18 @@ def test_prepare_zero_angles_gives_start():
 
 
 def test_prepare_parameter_length_checked():
+    # one message for prepare, the adjoint pass and the optimizer above it
     a = build_qca(2)
-    with pytest.raises(ValueError):
-        prepare(a, [0.0])
+    model = tfim_chain(2, 1.0, 0.3)
+    message = "expected 6 parameters, got 5"
+    with pytest.raises(ValueError, match=message):
+        prepare(a, np.zeros(5))
+    with pytest.raises(ValueError, match=message):
+        energy_and_gradient(a, np.zeros(5), model)
+    with pytest.raises(ValueError, match=message):
+        optimize(a, model, np.zeros(5))
+    with pytest.raises(ValueError, match="expected 0 parameters, got 1"):
+        optimize(ProductAnsatz(2, (), 0, 0), model, [0.0])
 
 
 def test_prepare_frustration_free_limit_energy():
