@@ -2,13 +2,13 @@
 
 from .ansatz import (
     AnsatzUnit,
-    LevelSpec,
-    StabilizerAnsatzSpec,
+    GeneratorSlot,
     ProductAnsatz,
     build_qca,
     enforce_conjugation,
     enforce_symmetry,
     fix_parameter,
+    qca_slot,
     remove_parameter,
     respects_conjugation,
 )
@@ -21,13 +21,10 @@ from .diagrams import (
     is_disconnected_split,
 )
 from .hierarchy import (
-    GeneratorSlot,
     PriorityList,
     ThetaEstimate,
     ThetaEstimator,
     build_priority_list,
-    check_matched,
-    qca_slot,
 )
 from .pauli import (
     MultiIndex,

@@ -1,14 +1,17 @@
-"""Product-ansatz data model, the layered stabilizer-group constructor and
+"""Product-ansatz data model, the layered parent ansatz in closed form and
 symmetry compression.
 
 An ansatz is an ordered list of rotation units exp(i * scale * theta * T)
 with Hermitian Pauli generators T, applied to a computational basis start
 state (unit 0 acts first).  Several units may share one parameter index.
+
+The layered parent ``build_qca`` holds, for every nonzero basis state s and
+phase class a, one unit reaching i^a |s> from |0>; ``qca_slot`` gives that
+unit and its position in closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .pauli import PauliString
@@ -49,114 +52,47 @@ class ProductAnsatz:
 
 
 @dataclass(frozen=True)
-class LevelSpec:
-    """One layer of a stabilizer ansatz: a commuting independent generator
-    set on the earlier qubits, a starting bit for this level's qubit, and an
-    orthogonal pair of single-qubit rotation axes that move that start."""
+class GeneratorSlot:
+    """A generator T with T|0> = i^a |state>, at its parent-circuit position."""
 
-    stabilizers: tuple[PauliString, ...]
-    start_bit: int = 0
-    rotations: tuple[str, str] = ("X", "Y")
-
-
-@dataclass(frozen=True)
-class StabilizerAnsatzSpec:
-    levels: tuple[LevelSpec, ...]
-
-    def __post_init__(self):
-        n = len(self.levels)
-        for level, spec in enumerate(self.levels):
-            if spec.start_bit not in (0, 1):
-                raise ValueError("start bit must be 0 or 1")
-            r0, r1 = spec.rotations
-            # computational starts demand off-diagonal, mutually orthogonal axes
-            if r0 not in ("X", "Y") or r1 not in ("X", "Y") or r0 == r1:
-                raise ValueError("rotation pair must be two distinct axes in {X, Y}")
-            if len(spec.stabilizers) != level:
-                raise ValueError(
-                    f"level {level} needs {level} stabilizer generators"
-                )
-            earlier = (1 << level) - 1
-            for s in spec.stabilizers:
-                if s.n_qubits != n:
-                    raise ValueError("stabilizer qubit count mismatch")
-                if not s.is_basis_element or s.is_identity:
-                    raise ValueError("stabilizers must be nontrivial Hermitian strings")
-                if (s.x_mask | s.z_mask) & ~earlier:
-                    raise ValueError("stabilizers may only touch earlier qubits")
-            for a, b in itertools.combinations(spec.stabilizers, 2):
-                if not a.commutes_with(b):
-                    raise ValueError("stabilizer generators must commute")
-            if not _independent(spec.stabilizers, n):
-                raise ValueError("stabilizer generators must be independent")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.levels)
-
-    def build(self) -> ProductAnsatz:
-        """Expand level by level: for every element of the stabilizer group
-        (generator subsets in binary counting order) emit the two rotations
-        R0*S then R1*S on this level's qubit, one fresh parameter each."""
-        n = self.n_qubits
-        start = 0
-        for level, spec in enumerate(self.levels):
-            start |= spec.start_bit << level
-        units = []
-        for level, spec in enumerate(self.levels):
-            for subset in range(1 << level):
-                element = PauliString.identity(n)
-                for i in range(level):
-                    if (subset >> i) & 1:
-                        element = element * spec.stabilizers[i]
-                # group elements are defined up to sign; fold a -1 into the angle
-                element = PauliString(
-                    n, element.x_mask, element.z_mask,
-                    (element.x_mask & element.z_mask).bit_count() % 4,
-                )
-                for axis in spec.rotations:
-                    gen = element * PauliString.from_ops(n, {level: axis})
-                    units.append(AnsatzUnit(gen, len(units)))
-        return ProductAnsatz(n, tuple(units), start, len(units))
+    state: int
+    a: int
+    generator: PauliString
+    parent_position: int
 
 
-def _independent(stabilizers, n_qubits) -> bool:
-    """GF(2) rank check on the symplectic rows: no generator subset may
-    multiply to the identity."""
-    rows = [s.x_mask | (s.z_mask << n_qubits) for s in stabilizers]
-    basis = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row == 0:
-            return False
-        basis.append(row)
-    return True
+def qca_slot(n_qubits: int, state: int, a: int) -> GeneratorSlot:
+    """The unit of ``build_qca(n_qubits)`` reaching |state> with phase class
+    a, in closed form.
+
+    With L the top set bit of state, the generator is X on the other set
+    bits of state times X (a=0) or Y (a=1) on qubit L: x mask = state,
+    z mask = a * 2^L, one Y iff a = 1.  Units run in ascending state, the
+    X unit before the Y unit, so the position is 2 (state - 1) + a.
+    """
+    if not 0 < state < 1 << n_qubits or a not in (0, 1):
+        raise ValueError(f"no parent slot reaches ({state}, {a})")
+    top = state.bit_length() - 1
+    generator = PauliString(n_qubits, state, a << top, a)
+    return GeneratorSlot(state, a, generator, 2 * (state - 1) + a)
 
 
 def build_qca(n_qubits: int) -> ProductAnsatz:
-    """Layered ansatz over X-generated stabilizer groups.
+    """Layered ansatz over X-generated stabilizer groups, from its closed
+    form ``qca_slot``.
 
-    Level n (qubit n) contributes, for every subset S of X operators on the
-    earlier qubits, the two units X_n*S and Y_n*S, giving 2^n units per
-    level and 2*(2^N - 1) parameters in total.  Subsets are enumerated in
-    binary counting order and the X unit precedes the Y unit, so the unit
-    reaching a state has a closed form, ``hierarchy.qca_slot``, which the
-    estimator uses instead of building this list.
+    Level L (qubit L) contributes, for every subset S of X operators on the
+    earlier qubits, the two units X_L*S and Y_L*S, giving 2^L units per
+    level and 2*(2^N - 1) units in total, one parameter each.  Subsets run
+    in binary counting order and the X unit precedes the Y unit, so the
+    unit at position 2 (s - 1) + a, which reaches |s> from |0> with phase
+    class a, is ``qca_slot(n_qubits, s, a)``.
     """
     if n_qubits < 1:
         raise ValueError("register must hold at least one qubit")
-    spec = StabilizerAnsatzSpec(
-        tuple(
-            LevelSpec(
-                stabilizers=tuple(
-                    PauliString.from_ops(n_qubits, {i: "X"}) for i in range(level)
-                ),
-            )
-            for level in range(n_qubits)
-        )
-    )
-    return spec.build()
+    slots = (qca_slot(n_qubits, s, a) for s in range(1, 1 << n_qubits) for a in (0, 1))
+    units = tuple(AnsatzUnit(slot.generator, slot.parent_position) for slot in slots)
+    return ProductAnsatz(n_qubits, units, 0, len(units))
 
 
 def _drop_parameters(ansatz: ProductAnsatz, dropped: set[int]) -> ProductAnsatz:

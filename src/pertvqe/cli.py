@@ -100,6 +100,9 @@ class RunConfig:
         if cfg.tie_seed is not None and cfg.tie_seed < 0:
             raise ConfigError(
                 f"hierarchy.tie_seed (--seed) must be at least 0, got {cfg.tie_seed}")
+        for key in ("j_values", "hierarchies"):
+            if not getattr(cfg, key):
+                raise ConfigError(f"sweep.{key} must hold at least one entry")
         if not all(math.isfinite(j) for j in cfg.j_values):
             raise ConfigError(f"sweep.j_values must be finite, got {cfg.j_values}")
         if cfg.n_p_max < 0:

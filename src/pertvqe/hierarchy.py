@@ -1,5 +1,5 @@
-"""Rotation-angle estimation with back-action subtraction, the matched
-ansatz check, and priority-list construction.
+"""Rotation-angle estimation with back-action subtraction on the slots of
+the layered parent ansatz, and priority-list construction.
 
 Each connected leading diagram k ties a target basis state and a phase class
 to one slot generator of a generating ansatz.  An angle is fixed for every
@@ -41,20 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzUnit, ProductAnsatz
+from .ansatz import AnsatzUnit, GeneratorSlot, ProductAnsatz, build_qca, qca_slot
 from .diagrams import enumerate_leading, is_disconnected_split
 from .pauli import MultiIndex, PauliString, format_bits
 from .perturbation import CoefficientTable, HamiltonianModel
-
-
-@dataclass(frozen=True)
-class GeneratorSlot:
-    """A generator T with T|0> = i^a |state>, at its parent-circuit position."""
-
-    state: int
-    a: int
-    generator: PauliString
-    parent_position: int
 
 
 @dataclass(frozen=True)
@@ -65,41 +55,14 @@ class ThetaEstimate:
     j_weight: float
 
 
-def check_matched(ansatz: ProductAnsatz) -> bool:
-    """Sufficient compactness condition: every generator acts non-trivially
-    only on qubits it flips (no Z factor outside the X support)."""
-    return all(
-        (u.generator.z_mask & ~u.generator.x_mask) == 0 for u in ansatz.units
-    )
-
-
-def qca_slot(n_qubits: int, state: int, a: int) -> GeneratorSlot:
-    """The slot of ``build_qca(n_qubits)`` reaching |state> with phase class
-    a, in closed form, without building the parent.
-
-    With L the top set bit of state and low = state & (2^L - 1), the
-    generator is X on the bits of low times X (a=0) or Y (a=1) on qubit L:
-    x mask = state, z mask = a * 2^L, one Y iff a = 1.  Level L of the
-    parent starts at position 2 (2^L - 1) and holds one X, Y pair per
-    subset low in binary counting order.
-    """
-    if not 0 < state < 1 << n_qubits or a not in (0, 1):
-        raise ValueError(f"no parent slot reaches ({state}, {a})")
-    top = state.bit_length() - 1
-    low = state & ((1 << top) - 1)
-    generator = PauliString(n_qubits, state, a << top, a)
-    return GeneratorSlot(state, a, generator, 2 * ((1 << top) - 1 + low) + a)
-
-
 class ThetaEstimator:
     """Fixes per-diagram angles on the slots of the layered parent ansatz
     (``build_qca``) and exposes the contribution formula for arbitrary
     multi-indices.
 
-    Slots come from the closed form ``qca_slot``; the parent is never
-    built.  ``ansatz`` may be None, or the parent itself, which is then
-    checked: matched, of the parent's size, and holding each used slot's
-    generator at its parent position.  ``slots`` holds the used slots.
+    Slots come from the closed form ``qca_slot``.  ``ansatz`` may be None,
+    or the parent itself, which is compared with ``build_qca``; any other
+    ansatz raises ValueError.  ``slots`` holds the used slots.
 
     ``_fixed`` lists (k, theta, slot) for every connected index k with a
     non-reference target below some leading index, in ascending order: the
@@ -133,6 +96,8 @@ class ThetaEstimator:
 
     # -- core ------------------------------------------------------------------
     def _run(self, ansatz: ProductAnsatz | None) -> None:
+        if ansatz is not None and ansatz != build_qca(self.model.n_qubits):
+            raise ValueError("ansatz is not the layered parent build_qca builds")
         down: set[MultiIndex] = set()
         for group in self.leading.values():
             for k in group:
@@ -146,8 +111,6 @@ class ThetaEstimator:
             key=lambda k: (k.order, tuple(k)),
         )
         slots = [self.slot_for(k) for k in ks]
-        if ansatz is not None:
-            _check_parent(ansatz, self.model.n_qubits, self.slots.values())
         series = _ProductSeries(self.table, down, ks, slots)
         thetas = [0.0] * len(ks)
         for _, same_order in groupby(range(len(ks)), key=lambda i: ks[i].order):
@@ -298,28 +261,6 @@ def _multisets(items: list[tuple[int, MultiIndex]], down: set) -> dict:
 
     grow(0, MultiIndex.zero(len(items[0][1])), (), 0)
     return out
-
-
-def _check_parent(ansatz: ProductAnsatz, n_qubits: int, slots) -> None:
-    """Raise unless ``ansatz`` is matched, has the parent's size, and holds
-    each of ``slots``' generators at its parent position: O(len(slots)),
-    not a scan of the 2^n states."""
-    if ansatz.n_qubits != n_qubits:
-        raise ValueError("ansatz and model qubit counts differ")
-    if not check_matched(ansatz):
-        raise ValueError(
-            "ansatz is not matched; estimates would need disconnected "
-            "bookkeeping this construction avoids"
-        )
-    if ansatz.start_state != 0 or ansatz.n_units != 2 * ((1 << n_qubits) - 1):
-        raise ValueError("ansatz is not the layered parent build_qca builds")
-    for slot in slots:
-        unit = ansatz.units[slot.parent_position]
-        if unit.generator != slot.generator or unit.scale != 1.0:
-            raise ValueError(
-                f"ansatz is not the layered parent build_qca builds: unit "
-                f"{slot.parent_position} is not {slot.generator.to_label()}"
-            )
 
 
 def duplication_defect(

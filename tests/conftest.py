@@ -7,8 +7,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from pertvqe.ansatz import AnsatzUnit, ProductAnsatz
-from pertvqe.hierarchy import GeneratorSlot
+from pertvqe.ansatz import AnsatzUnit, GeneratorSlot, ProductAnsatz
 from pertvqe.pauli import MultiIndex, PauliString, unperturbed_energy
 from pertvqe.perturbation import (
     CoefficientTable,
@@ -211,6 +210,26 @@ def tie_one_at_a_time(ansatz: ProductAnsatz, i: int, j: int, c: float) -> Produc
     )
     tied = ProductAnsatz(ansatz.n_qubits, units, ansatz.start_state, ansatz.num_params)
     return remove_one_at_a_time(tied, {i})
+
+
+def stabilizer_parent(n_qubits: int) -> ProductAnsatz:
+    """Independent oracle for ``build_qca``, from the stabilizer-group
+    description: level L, for each subset S of X operators on the earlier
+    qubits in binary counting order, emits X_L*S then Y_L*S as products of
+    ``PauliString``s, each folded to its positive Hermitian string, with one
+    fresh parameter per unit."""
+    units = []
+    for level in range(n_qubits):
+        for subset in range(1 << level):
+            element = PauliString.identity(n_qubits)
+            for q in range(level):
+                if subset >> q & 1:
+                    element = element * PauliString.from_ops(n_qubits, {q: "X"})
+            for axis in ("X", "Y"):
+                g = PauliString.from_ops(n_qubits, {level: axis}) * element
+                g = PauliString(n_qubits, g.x_mask, g.z_mask, g.y_count)
+                units.append(AnsatzUnit(g, len(units)))
+    return ProductAnsatz(n_qubits, tuple(units), 0, len(units))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from pertvqe.ansatz import (
     respects_conjugation,
 )
 from pertvqe.pauli import PauliString
-from pertvqe.simulator import best_fidelity, prepare
+from pertvqe.simulator import prepare
 
-from conftest import gram_matrix, manifold_area, random_pauli
+from conftest import gram_matrix, manifold_area, random_pauli, stabilizer_parent
 
 
 def yyx_ansatz() -> ProductAnsatz:
@@ -53,60 +53,20 @@ def test_qca_three_qubits_circuit_order():
     assert [u.generator.to_label() for u in build_qca(3).units] == expected
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_qca_equals_the_stabilizer_group_parent(n):
+    built, oracle = build_qca(n), stabilizer_parent(n)
+    assert (built.n_qubits, built.start_state, built.num_params) == (
+        oracle.n_qubits, oracle.start_state, oracle.num_params)
+    assert len(built.units) == len(oracle.units)
+    for u, v in zip(built.units, oracle.units):
+        assert (u.generator, u.param_index, u.scale) == (
+            v.generator, v.param_index, v.scale)
+
+
 def test_qca_rejects_empty_register():
     with pytest.raises(ValueError):
         build_qca(0)
-
-
-def test_stabilizer_spec_validation():
-    from pertvqe.ansatz import LevelSpec, StabilizerAnsatzSpec
-
-    with pytest.raises(ValueError, match="distinct axes"):
-        StabilizerAnsatzSpec((LevelSpec((), 0, ("X", "X")),))
-    with pytest.raises(ValueError, match="earlier qubits"):
-        StabilizerAnsatzSpec(
-            (LevelSpec(()), LevelSpec((PauliString.from_label("IX"),)))
-        )
-    with pytest.raises(ValueError, match="independent"):
-        StabilizerAnsatzSpec(
-            (
-                LevelSpec(()),
-                LevelSpec((PauliString.from_label("XII"),)),
-                LevelSpec(
-                    (PauliString.from_label("XII"), PauliString.from_label("XII"))
-                ),
-            )
-        )
-    with pytest.raises(ValueError, match="commute"):
-        StabilizerAnsatzSpec(
-            (
-                LevelSpec(()),
-                LevelSpec((PauliString.from_label("XII"),)),
-                LevelSpec(
-                    (PauliString.from_label("XII"), PauliString.from_label("ZII"))
-                ),
-            )
-        )
-
-
-def test_alternative_stabilizer_instance_spans(rng):
-    # a Z-generated two-qubit instance with a flipped start still reaches
-    # arbitrary targets with the minimal parameter count
-    from pertvqe.ansatz import LevelSpec, StabilizerAnsatzSpec
-
-    spec = StabilizerAnsatzSpec(
-        (
-            LevelSpec((), 0, ("Y", "X")),
-            LevelSpec((PauliString.from_label("ZI"),), 1, ("X", "Y")),
-        )
-    )
-    a = spec.build()
-    assert a.num_params == 2 * (2**2 - 1)
-    assert a.start_state == 0b10
-    for _ in range(5):
-        target = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        target /= np.linalg.norm(target)
-        assert best_fidelity(a, target, rng) >= 1 - 1e-6
 
 
 # -- parameter removal and fixing ---------------------------------------------------

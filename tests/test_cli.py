@@ -464,6 +464,10 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
     ("hierarchy", {"model": {"type": "custom", "n_qubits": 2, "h": [1.0, 1.0],
                              "couplings": [{"j": 0.1, "pauli": "XX"}]}},
      "config error: unknown key model.n_qubits\n"),
+    ("sweep", {"sweep": {"j_values": []}},
+     "config error: sweep.j_values must hold at least one entry\n"),
+    ("sweep", {"sweep": {"hierarchies": []}},
+     "config error: sweep.hierarchies must hold at least one entry\n"),
 ], ids=["no-n_qubits", "k_max-text", "j_values-text", "tie_seed-text", "bad-label",
         "one-site-chain", "empty-loc-filter", "negative-n_p_max", "model-list",
         "hierarchy-list", "sweep-list", "k_max-fraction", "tie_seed-fraction",
@@ -476,7 +480,7 @@ def test_sweep_with_zero_coupling_zero_fails_before_any_work(tmp_path, monkeypat
         "j_values-true", "sweep-unknown-key", "top-unknown-section", "top-unknown-key",
         "hierarchy-unknown-key", "sweep-gtol-unknown", "sweep-max_iterations-unknown",
         "tfim-unknown-key", "custom-unknown-key", "coupling-unknown-key",
-        "custom-n_qubits-unknown"])
+        "custom-n_qubits-unknown", "j_values-empty", "hierarchies-empty"])
 def test_unusable_config_is_usage_error(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     assert main(["--config", str(cfg), command]) == 2

@@ -3,15 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca
+from pertvqe.ansatz import AnsatzUnit, ProductAnsatz, build_qca, qca_slot
 from pertvqe.diagrams import enumerate_leading, is_disconnected_split
 from pertvqe.hierarchy import (
     ThetaEstimator,
     build_priority_list,
-    check_matched,
     duplication_defect,
     hierarchy_to_json,
-    qca_slot,
 )
 from pertvqe.pauli import MultiIndex, PauliString, format_bits
 from pertvqe.perturbation import Coupling, HamiltonianModel, tfim_chain
@@ -54,20 +52,17 @@ def test_generating_failure_reported():
     assert (0b11, 0) in report.missing
 
 
-def test_matched_checks():
-    assert check_matched(build_qca(5))
-    bad = ProductAnsatz(
-        3, (AnsatzUnit(PauliString.from_label("ZXY"), 0),), 0, 1
-    )
-    assert not check_matched(bad)
-    single = ProductAnsatz(1, (AnsatzUnit(PauliString.from_label("Y"), 0),), 0, 1)
-    assert check_matched(single)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_parent_generators_are_matched(n):
+    # every generator acts non-trivially only on qubits it flips
+    for u in build_qca(n).units:
+        assert u.generator.z_mask & ~u.generator.x_mask == 0
 
 
 def test_estimator_refuses_unmatched():
     units = list(build_qca(2).units) + [AnsatzUnit(PauliString.from_label("ZX"), 6)]
     a = ProductAnsatz(2, tuple(units), 0, 7)
-    with pytest.raises(ValueError, match="matched"):
+    with pytest.raises(ValueError, match="layered parent"):
         ThetaEstimator(tfim_chain(2, 1.0, 0.1), a, 2)
 
 

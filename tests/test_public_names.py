@@ -7,11 +7,11 @@ import pertvqe
 
 PUBLIC_NAMES = [
     "AnsatzUnit", "CoefficientTable", "Coupling", "DegeneracyError", "Diagram",
-    "DiscardedPass", "GeneratorSlot", "HamiltonianModel", "LevelSpec", "MultiIndex",
+    "DiscardedPass", "GeneratorSlot", "HamiltonianModel", "MultiIndex",
     "OptimizationOutcome", "PauliString", "PriorityList", "ProductAnsatz",
-    "StabilizerAnsatzSpec", "SweepResult", "SweepRow", "SweepStep", "ThetaEstimate",
+    "SweepResult", "SweepRow", "SweepStep", "ThetaEstimate",
     "ThetaEstimator", "basis_state", "build_diagram",
-    "build_priority_list", "build_qca", "check_matched", "energy",
+    "build_priority_list", "build_qca", "energy",
     "energy_and_gradient", "enforce_conjugation", "enforce_symmetry",
     "enumerate_connected", "enumerate_leading", "exact_ground",
     "export_dot", "fidelity", "fix_parameter", "hierarchy_sweep",
